@@ -4,8 +4,8 @@ Two budgets from ``docs/policy.md`` and ``docs/performance.md``:
 
 * **Compiled decision tables beat the reference interpreter ≥5x** —
   the pack compiler interns facts to bit positions, lowers rule
-  conditions to integer masks and reuses resolved finding blocks
-  per distinct fact vector; the naive
+  conditions to integer masks and reuses each issue's resolved
+  finding per distinct pattern of the facts it reads; the naive
   :class:`~repro.policy.interpreter.PolicyInterpreter` re-derives
   everything per call. The benchmark measures both engines on the
   same steady-state legal-report workload (Table 1-shaped synthetic

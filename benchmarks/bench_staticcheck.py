@@ -2,7 +2,7 @@
 
 The lint gate runs inside every tier-1 test invocation and inside
 ``repro-ethics verify``, so it has a latency budget: a full cold lint
-of ``src/repro`` (single parse per file, all nine rules R1–R9
+of ``src/repro`` (single parse per file, all ten rules R1–R10
 including the interprocedural project-graph pass, baseline check)
 must stay under 2 seconds on this tree. The incremental cache is what
 keeps the gate honest as the package grows: a warm lint re-hashes

@@ -190,13 +190,29 @@ class ClaimCheck:
     def ok(self) -> bool:
         return self.expected == self.measured
 
+    @property
+    def expected_text(self) -> str:
+        return _stable_repr(self.expected)
+
+    @property
+    def measured_text(self) -> str:
+        return _stable_repr(self.measured)
+
     def describe(self) -> str:
         """One-line OK/FAIL rendering of the comparison."""
         mark = "OK " if self.ok else "FAIL"
         return (
-            f"[{mark}] {self.claim}: paper={self.expected!r} "
-            f"measured={self.measured!r}"
+            f"[{mark}] {self.claim}: paper={self.expected_text} "
+            f"measured={self.measured_text}"
         )
+
+
+def _stable_repr(value: Any) -> str:
+    """``repr`` with set members sorted: a set's iteration order
+    follows the string hash seed, so its plain ``repr`` does too."""
+    if isinstance(value, set) and value:
+        return "{" + ", ".join(repr(v) for v in sorted(value)) + "}"
+    return repr(value)
 
 
 def verify_section5(corpus: Corpus) -> list[ClaimCheck]:

@@ -28,7 +28,7 @@ from ..ethics import (
     RightsContext,
     default_stakeholders,
 )
-from ..legal import ALL_JURISDICTIONS, JurisdictionSet
+from ..legal import ALL_JURISDICTIONS, DataProfile, JurisdictionSet
 from .common import SeededGenerator, chunked
 
 __all__ = ["ResearchProjectGenerator", "synthetic_project"]
@@ -83,8 +83,6 @@ class ResearchProjectGenerator(SeededGenerator):
             "plans_deanonymization": rng.random() < 0.1,
             "violates_terms_of_service": rng.random() < 0.3,
         }
-        from ..legal import DataProfile
-
         profile = DataProfile(**profile_kwargs)
 
         count = rng.randint(1, len(ALL_JURISDICTIONS))

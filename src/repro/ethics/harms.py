@@ -147,7 +147,12 @@ class HarmInstance:
         if not 0.0 <= additional <= 1.0:
             raise EthicsModelError("mitigation must be in [0, 1]")
         remaining = (1.0 - self.mitigation) * (1.0 - additional)
-        return dataclasses.replace(self, mitigation=1.0 - remaining)
+        # Every other field is already validated, and the composed
+        # mitigation stays in [0, 1]: copy the fields directly rather
+        # than re-running __init__ and __post_init__.
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), mitigation=1.0 - remaining)
+        return copy
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,6 +11,7 @@ conditions it depends on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from ..errors import EthicsModelError
 
@@ -92,10 +93,16 @@ def evaluate_justification(
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def evaluate_all_justifications(
     facts: JustificationFacts,
 ) -> tuple[JustificationVerdict, ...]:
-    """Evaluate every §5.1 justification against the same facts."""
+    """Evaluate every §5.1 justification against the same facts.
+
+    The verdicts are frozen values and depend only on the facts,
+    eleven booleans, so each distinct fact pattern is evaluated once
+    and its verdict tuple shared.
+    """
     return tuple(
         evaluate_justification(justification_id, facts)
         for justification_id in JUSTIFICATION_IDS

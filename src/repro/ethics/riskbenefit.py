@@ -48,9 +48,18 @@ class RiskBenefitGrid:
     Benefits whose ``beneficiary`` is ``"society"`` are treated as a
     distinguished diffuse party rather than spread over stakeholders,
     matching how the paper discusses public-interest benefits.
+
+    The grid is folded once, at construction: every party's
+    :class:`PartyBalance` is built from one pass over the harms and
+    one over the benefits, and the queries below read that result.
+    Each per-party total is still a ``sum()`` over the party's
+    entries in register order, so the floats match a per-party
+    recomputation exactly. The stakeholder registry is read at
+    construction; stakeholders added later are not rows.
     """
 
     SOCIETY = "society"
+    SOCIETY_NAME = "society at large"
 
     def __init__(
         self,
@@ -58,13 +67,25 @@ class RiskBenefitGrid:
         harms: Sequence[HarmInstance],
         benefits: Sequence[BenefitInstance],
     ) -> None:
-        for harm in harms:
+        self.stakeholders = stakeholders
+        self.harms = tuple(harms)
+        self.benefits = tuple(benefits)
+        risks: list[float] = []
+        risks_by_party: dict[str, list[float]] = {}
+        for harm in self.harms:
             if harm.stakeholder_id not in stakeholders:
                 raise EthicsModelError(
                     f"harm names unknown stakeholder "
                     f"{harm.stakeholder_id!r}"
                 )
-        for benefit in benefits:
+            risk = harm.residual_risk
+            risks.append(risk)
+            risks_by_party.setdefault(harm.stakeholder_id, []).append(
+                risk
+            )
+        values: list[float] = []
+        values_by_party: dict[str, list[float]] = {}
+        for benefit in self.benefits:
             if (
                 benefit.beneficiary != self.SOCIETY
                 and benefit.beneficiary not in stakeholders
@@ -73,61 +94,76 @@ class RiskBenefitGrid:
                     f"benefit names unknown beneficiary "
                     f"{benefit.beneficiary!r}"
                 )
-        self.stakeholders = stakeholders
-        self.harms = tuple(harms)
-        self.benefits = tuple(benefits)
+            value = benefit.expected_value
+            values.append(value)
+            values_by_party.setdefault(benefit.beneficiary, []).append(
+                value
+            )
+        self._total_risk = sum(risks)
+        self._total_benefit = sum(values)
+        parties = [(s.id, s.name) for s in stakeholders]
+        if self.SOCIETY in values_by_party:
+            parties.append((self.SOCIETY, self.SOCIETY_NAME))
+        balances = []
+        for party, name in parties:
+            risks = risks_by_party.get(party, ())
+            values = values_by_party.get(party, ())
+            balances.append(
+                PartyBalance(
+                    party,
+                    self.SOCIETY_NAME if party == self.SOCIETY else name,
+                    sum(risks),
+                    sum(values),
+                    len(risks),
+                    len(values),
+                )
+            )
+        self._balances = tuple(balances)
+        self._by_party = {b.stakeholder_id: b for b in balances}
 
     def balance(self, party_id: str) -> PartyBalance:
-        """The net position of one party (stakeholder id or society)."""
-        if party_id == self.SOCIETY:
-            name = "society at large"
-        else:
-            name = self.stakeholders[party_id].name
-        harms = [
-            h for h in self.harms if h.stakeholder_id == party_id
-        ]
-        benefits = [
-            b for b in self.benefits if b.beneficiary == party_id
-        ]
-        return PartyBalance(
-            stakeholder_id=party_id,
-            name=name,
-            risk=sum(h.residual_risk for h in harms),
-            benefit=sum(b.expected_value for b in benefits),
-            harm_count=len(harms),
-            benefit_count=len(benefits),
-        )
+        """The net position of one party (stakeholder id or society).
+
+        Society without benefits has an empty row; an unknown party
+        raises :class:`~repro.errors.EthicsModelError`.
+        """
+        folded = self._by_party.get(party_id)
+        if folded is None:
+            name = (
+                self.SOCIETY_NAME
+                if party_id == self.SOCIETY
+                else self.stakeholders[party_id].name
+            )
+            folded = PartyBalance(party_id, name, 0, 0, 0, 0)
+        return folded
 
     def balances(self) -> tuple[PartyBalance, ...]:
         """Balances for all stakeholders plus society (when present)."""
-        parties = [s.id for s in self.stakeholders]
-        if any(b.beneficiary == self.SOCIETY for b in self.benefits):
-            parties.append(self.SOCIETY)
-        return tuple(self.balance(p) for p in parties)
+        return self._balances
 
     def subsidising_parties(self) -> tuple[PartyBalance, ...]:
         """Parties carrying risk with no benefit — the fairness red
         flag the multi-party framing exists to surface."""
-        return tuple(b for b in self.balances() if b.is_subsidising)
+        return tuple(b for b in self._balances if b.is_subsidising)
 
     def unassessed_parties(self) -> tuple[str, ...]:
         """Stakeholders with neither harms nor benefits recorded.
 
         An empty grid row usually means the analysis is incomplete,
-        not that the party is unaffected.
+        not that the party is unaffected. (The society row exists
+        only when it has benefits, so it is never listed.)
         """
         return tuple(
-            s.id
-            for s in self.stakeholders
-            if self.balance(s.id).harm_count == 0
-            and self.balance(s.id).benefit_count == 0
+            b.stakeholder_id
+            for b in self._balances
+            if b.harm_count == 0 and b.benefit_count == 0
         )
 
     def total_risk(self) -> float:
-        return sum(h.residual_risk for h in self.harms)
+        return self._total_risk
 
     def total_benefit(self) -> float:
-        return sum(b.expected_value for b in self.benefits)
+        return self._total_benefit
 
     def favourable(self) -> bool:
         """Aggregate benefit exceeds aggregate residual risk *and* no

@@ -16,6 +16,7 @@ consent status, and provides the registry an assessment starts from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Iterable, Iterator
 
 from ..errors import EthicsModelError
@@ -156,6 +157,42 @@ class StakeholderRegistry:
         return bool(self.primary) and bool(self.key)
 
 
+@functools.lru_cache(maxsize=8)
+def _default_members(
+    data_subjects: str, service: str, leaker: str
+) -> tuple[Stakeholder, ...]:
+    """The canonical stakeholders, built once per name triple.
+
+    Stakeholders are frozen, so every registry can share them.
+    """
+    return (
+        Stakeholder(
+            id="data-subjects",
+            name=data_subjects,
+            role=StakeholderRole.PRIMARY,
+            consent=ConsentStatus.IMPOSSIBLE,
+        ),
+        Stakeholder(
+            id="service-operator",
+            name=service,
+            role=StakeholderRole.SECONDARY,
+            natural_person=False,
+        ),
+        Stakeholder(
+            id="leaker",
+            name=leaker,
+            role=StakeholderRole.KEY,
+            consent=ConsentStatus.NOT_REQUIRED,
+        ),
+        Stakeholder(
+            id="researchers",
+            name="the researchers conducting the study",
+            role=StakeholderRole.KEY,
+            consent=ConsentStatus.OBTAINED,
+        ),
+    )
+
+
 def default_stakeholders(
     data_subjects: str = "individuals identified in the data",
     service: str = "the service the data was taken from",
@@ -165,39 +202,9 @@ def default_stakeholders(
 
     Mirrors the paper's running example: data subjects (primary), the
     compromised service (secondary), and the leaker and researcher
-    (key). Callers refine consent / vulnerability per project.
+    (key). Callers refine consent / vulnerability per project. Each
+    call returns a fresh registry over prebuilt frozen stakeholders.
     """
-    registry = StakeholderRegistry()
-    registry.add(
-        Stakeholder(
-            id="data-subjects",
-            name=data_subjects,
-            role=StakeholderRole.PRIMARY,
-            consent=ConsentStatus.IMPOSSIBLE,
-        )
+    return StakeholderRegistry(
+        _default_members(data_subjects, service, leaker)
     )
-    registry.add(
-        Stakeholder(
-            id="service-operator",
-            name=service,
-            role=StakeholderRole.SECONDARY,
-            natural_person=False,
-        )
-    )
-    registry.add(
-        Stakeholder(
-            id="leaker",
-            name=leaker,
-            role=StakeholderRole.KEY,
-            consent=ConsentStatus.NOT_REQUIRED,
-        )
-    )
-    registry.add(
-        Stakeholder(
-            id="researchers",
-            name="the researchers conducting the study",
-            role=StakeholderRole.KEY,
-            consent=ConsentStatus.OBTAINED,
-        )
-    )
-    return registry

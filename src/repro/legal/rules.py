@@ -156,20 +156,40 @@ class LegalFinding:
 
 @dataclasses.dataclass(frozen=True)
 class LegalReport:
-    """The full multi-jurisdiction analysis."""
+    """The full multi-jurisdiction analysis.
+
+    The report is immutable, so its two summaries — the overall risk
+    and the applicable issues — are folded once, at construction.
+    """
 
     profile: DataProfile
     findings: tuple[LegalFinding, ...]
+    #: The most severe finding risk (``none`` without findings).
+    overall_risk: str = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+    _applicable: tuple[str, ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def overall_risk(self) -> str:
-        return RiskLevel.worst([f.risk for f in self.findings])
+    def __post_init__(self) -> None:
+        risks = []
+        seen = set()
+        for finding in self.findings:
+            risks.append(finding.risk)
+            if finding.applicable:
+                seen.add(finding.issue)
+        object.__setattr__(self, "overall_risk", RiskLevel.worst(risks))
+        object.__setattr__(
+            self,
+            "_applicable",
+            tuple(i for i in LEGAL_ISSUE_IDS if i in seen),
+        )
 
     def applicable_issues(self) -> tuple[str, ...]:
         """Issue ids applicable in at least one jurisdiction, in the
         canonical order."""
-        seen = {f.issue for f in self.findings if f.applicable}
-        return tuple(i for i in LEGAL_ISSUE_IDS if i in seen)
+        return self._applicable
 
     def findings_for(self, issue: str) -> tuple[LegalFinding, ...]:
         return tuple(f for f in self.findings if f.issue == issue)

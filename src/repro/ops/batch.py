@@ -544,13 +544,14 @@ class BatchExecutor:
         """
         cache = ctx.cache
         entries: list[tuple] = []
-        pending: list[int] = []
+        pending: list[tuple[int, str | None]] = []
         scheduled: set[str] = set()
         for request in requests:
             operation = operations.get(request.op)
             if operation is None:
                 entries.append((_LOCAL, request, 0, 0))
                 continue
+            key = None
             if cache is not None and operation.pure:
                 try:
                     built = build_request(operation, request.args)
@@ -565,7 +566,7 @@ class BatchExecutor:
                     continue
                 scheduled.add(key)
             entries.append((_POOL, request, 0, 0))
-            pending.append(len(entries) - 1)
+            pending.append((len(entries) - 1, key))
         size = self.chunk_size or auto_chunk_size(
             len(pending), self.workers
         )
@@ -574,7 +575,7 @@ class BatchExecutor:
             block = pending[offset : offset + size]
             chunk_id = len(chunks)
             chunk = []
-            for position, entry_index in enumerate(block):
+            for position, (entry_index, key) in enumerate(block):
                 _, request, _, _ = entries[entry_index]
                 entries[entry_index] = (
                     _POOL,
@@ -583,7 +584,7 @@ class BatchExecutor:
                     position,
                 )
                 chunk.append(
-                    (request.index, request.op, request.args)
+                    (request.index, request.op, request.args, key)
                 )
             chunks.append(tuple(chunk))
         return entries, chunks

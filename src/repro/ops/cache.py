@@ -31,6 +31,7 @@ import json
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 
+from ..observability import metrics
 from .spec import OpResponse
 
 __all__ = ["ResultCache", "cache_key"]
@@ -74,8 +75,6 @@ class ResultCache:
 
     def get(self, key: str) -> OpResponse | None:
         """The cached response for *key*, counting the hit or miss."""
-        from ..observability import metrics
-
         response = self._entries.get(key)
         if response is None:
             self.misses += 1

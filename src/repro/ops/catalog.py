@@ -26,7 +26,7 @@ __all__ = ["default_registry"]
 
 def _text(lines: list[str]) -> str:
     """Join print-style lines into exact stdout bytes."""
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 # -- systematization operations ---------------------------------------

@@ -55,9 +55,8 @@ from concurrent.futures import BrokenExecutor
 from ..errors import BatchError
 from ..observability import audit_event, flight_recorder
 from ..observability.worker import TelemetryShard, WorkerTelemetry
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
 from .context import RunContext
-from .spec import build_request
 
 __all__ = [
     "ChunkResult",
@@ -134,15 +133,17 @@ def _execute_chunk(
 ) -> ChunkResult:
     """Worker-side entry point: run one contiguous request chunk.
 
-    *chunk* is a tuple of ``(index, op, args)`` triples. Each
-    request executes through the same :func:`~repro.ops.batch._run_one`
-    path a serial run uses, under its own
-    :class:`~repro.observability.worker.TelemetryShard` when the
-    coordinator observes, so per-request audit brackets replay in
-    exact submission order. Successful pure results are exported as
-    ``(key, response)`` pairs for the coordinator cache.
+    *chunk* is a tuple of ``(index, op, args, key)`` entries, where
+    *key* is the cache key the coordinator's plan computed for a pure
+    request (``None`` otherwise). Each request executes through the
+    same :func:`~repro.ops.batch._run_one` path a serial run uses,
+    under its own :class:`~repro.observability.worker.TelemetryShard`
+    when the coordinator observes, so per-request audit brackets
+    replay in exact submission order. Successful pure results are
+    exported as ``(key, response)`` pairs for the coordinator cache,
+    looked up under the planned key rather than hashed again.
     """
-    from .batch import _batchable_operation, _run_one, _worker_context
+    from .batch import _run_one, _worker_context
 
     ctx = _worker_context(use_cache)
     cache = ctx.cache
@@ -151,8 +152,7 @@ def _execute_chunk(
     lines: list[dict] = []
     shards: list[WorkerTelemetry | None] = []
     pairs: list[tuple[str, object]] = []
-    exported: set[str] = set()
-    for index, name, values in chunk:
+    for index, name, values, key in chunk:
         if telemetry:
             with TelemetryShard() as shard:
                 line = _run_one(index, name, values, ctx)
@@ -161,20 +161,8 @@ def _execute_chunk(
             line = _run_one(index, name, values, ctx)
             shards.append(None)
         lines.append(line)
-        if cache is None or not line["ok"]:
+        if cache is None or key is None or not line["ok"]:
             continue
-        operation = _batchable_operation(name)
-        if not operation.pure:
-            continue
-        built = build_request(operation, values)
-        key = cache_key(
-            operation.name,
-            built,
-            ctx.cache_digest(operation, built),
-        )
-        if key in exported:
-            continue
-        exported.add(key)
         response = cache.peek(key)
         if response is not None:
             pairs.append((key, response))
@@ -255,7 +243,7 @@ class WarmPool:
         return self.workers
 
     def submit_chunk(self, chunk: tuple, telemetry: bool):
-        """Submit one ``(index, op, args)`` chunk; returns its future.
+        """Submit one ``(index, op, args, key)`` chunk; returns its future.
 
         A pool whose executor died between runs raises
         :class:`BatchError` (and discards the executor for lazy

@@ -40,15 +40,15 @@ _VERDICT_RANK = {v: i for i, v in enumerate(VERDICT_ORDER)}
 class _FactSpace:
     """Bit-position interning for one fact vocabulary."""
 
-    __slots__ = ("index",)
+    __slots__ = ("_bits",)
 
     def __init__(self, names: Iterable[str]) -> None:
-        self.index: dict[str, int] = {}
+        self._bits: dict[str, int] = {}
         for name in names:
-            self.index[name] = len(self.index)
+            self._bits[name] = 1 << len(self._bits)
 
     def bit(self, name: str) -> int:
-        return 1 << self.index[name]
+        return self._bits[name]
 
     def masks(self, when: Mapping[str, bool]) -> tuple[int, int]:
         """The (require, forbid) masks for a ``when`` condition."""
@@ -62,10 +62,11 @@ class _FactSpace:
 
     def pack(self, scalars: Mapping[str, bool]) -> int:
         """Intern a scalar fact dict into one bit vector."""
+        masks = self._bits
         bits = 0
         for name, value in scalars.items():
             if value:
-                bits |= 1 << self.index[name]
+                bits |= masks[name]
         return bits
 
 
@@ -93,6 +94,25 @@ def _compile_expr(
     if key == "any":
         return lambda bits: any(t(bits) for t in tests)
     return lambda bits: all(t(bits) for t in tests)
+
+
+def _expr_inputs(
+    expr: Any, space: _FactSpace, derived: Mapping[int, int]
+) -> int:
+    """The base-fact bits a derived-fact expression reads.
+
+    A derived fact defined earlier (a key of *derived*) stands for
+    the base facts it reads in turn.
+    """
+    if isinstance(expr, str):
+        bit = space.bit(expr)
+        return derived.get(bit, bit)
+    if "not" in expr:
+        return _expr_inputs(expr["not"], space, derived)
+    inputs = 0
+    for operand in expr["any" if "any" in expr else "all"]:
+        inputs |= _expr_inputs(operand, space, derived)
+    return inputs
 
 
 def _template(text: str | None) -> tuple[str | None, bool]:
@@ -134,6 +154,43 @@ class _Row:
             )
             for modifier in row.get("modifiers", ())
         )
+
+
+class _FindingMemo(dict):
+    """One issue's findings in one (jurisdiction, reb) context.
+
+    Keyed by the base-fact bits the issue depends on: those its rows
+    and modifiers test, with each derived fact replaced by the base
+    facts it reads. Those bits alone decide the finding, so a missing
+    key resolves from the key itself.
+    """
+
+    __slots__ = ("_resolve", "_context")
+
+    def __init__(self, resolve: Callable, *context: Any) -> None:
+        super().__init__()
+        self._resolve = resolve
+        self._context = context
+
+    def __missing__(self, bits: int):
+        finding = self[bits] = self._resolve(*self._context, bits)
+        return finding
+
+
+def _issue_inputs(
+    rows: Sequence[_Row], derived: Mapping[int, int]
+) -> int:
+    """The base-fact bits one issue's rows and modifiers depend on."""
+    tested = 0
+    for row in rows:
+        tested |= row.require | row.forbid
+        for require, forbid, *_ in row.modifiers:
+            tested |= require | forbid
+    inputs = tested
+    for bit, bit_inputs in derived.items():
+        if tested & bit:
+            inputs = inputs & ~bit | bit_inputs
+    return inputs
 
 
 class _Check:
@@ -234,12 +291,14 @@ class CompiledPolicy:
         self._principle_finding_cls = PrincipleFinding
         self._statutes_for = statutes_for
         self._statute_cache: dict[tuple[str, str], tuple] = {}
-        # Resolved finding blocks, keyed by (fact vector,
-        # jurisdiction, reb). Findings are frozen dataclasses and
-        # the key captures every input the rows read, so a repeated
-        # vector reuses the exact finding objects — the decision
-        # table's row scan runs once per distinct fact pattern.
-        self._resolved: dict[tuple, tuple] = {}
+        # Resolved findings: per (jurisdiction, reb), the
+        # jurisdiction's fact bits and one _FindingMemo per issue.
+        # Findings are frozen dataclasses and a memo key captures
+        # every input the issue's rows read, so each row scan runs
+        # once per distinct pattern of *that issue's* inputs —
+        # projects that differ only in facts an issue ignores share
+        # its finding object, and the memo stays small.
+        self._resolved: dict[tuple, tuple[int, tuple]] = {}
 
         data = pack.data
         facts = data["facts"]
@@ -263,22 +322,26 @@ class CompiledPolicy:
             (attr, space.bit(name))
             for name, attr in facts["jurisdiction"].items()
         )
-        self._derived = tuple(
-            (
-                space.bit(entry["name"]),
-                _compile_expr(
-                    {k: v for k, v in entry.items() if k != "name"},
-                    space,
-                ),
+        compiled_derived = []
+        derived_inputs: dict[int, int] = {}
+        for entry in derived:
+            bit = space.bit(entry["name"])
+            expr = {k: v for k, v in entry.items() if k != "name"}
+            compiled_derived.append((bit, _compile_expr(expr, space)))
+            derived_inputs[bit] = _expr_inputs(
+                expr, space, derived_inputs
             )
-            for entry in derived
-        )
+        self._derived = tuple(compiled_derived)
         self._issues = tuple(
             (
                 issue["id"],
                 tuple(_Row(space, row) for row in issue["rows"]),
             )
             for issue in data["legal"]["issues"]
+        )
+        self._issue_inputs = tuple(
+            _issue_inputs(rows, derived_inputs)
+            for _, rows in self._issues
         )
         self.legal_issue_ids = tuple(
             issue_id for issue_id, _ in self._issues
@@ -354,88 +417,96 @@ class CompiledPolicy:
                 base_bits |= mask
 
         resolved = self._resolved
+        issue_inputs = self._issue_inputs
         findings: list = []
         for jurisdiction in jurisdictions:
-            bits = base_bits
-            for attr, mask in self._jurisdiction_facts:
-                if getattr(jurisdiction, attr):
-                    bits |= mask
-            key = (bits, jurisdiction, reb_approved)
-            block = resolved.get(key)
-            if block is None:
-                block = self._resolve_block(
-                    bits, jurisdiction, reb_approved
-                )
-                resolved[key] = block
-            findings.extend(block)
+            entry = resolved.get((jurisdiction, reb_approved))
+            if entry is None:
+                entry = self._finding_memos(jurisdiction, reb_approved)
+                resolved[(jurisdiction, reb_approved)] = entry
+            jurisdiction_bits, memos = entry
+            bits = base_bits | jurisdiction_bits
+            findings.extend(
+                [
+                    memo[bits & inputs]
+                    for inputs, memo in zip(issue_inputs, memos)
+                ]
+            )
         return self._report_cls(
             profile=profile, findings=tuple(findings)
         )
 
-    def _resolve_block(
-        self, bits: int, jurisdiction: Any, reb_approved: bool
-    ) -> tuple:
-        """Scan the decision rows once for one distinct fact vector."""
-        finding_cls = self._finding_cls
-        defences = self._defences[reb_approved]
-        no_defences: tuple[str, ...] = ()
+    def _finding_memos(
+        self, jurisdiction: Any, reb_approved: bool
+    ) -> tuple[int, tuple[_FindingMemo, ...]]:
+        """The jurisdiction's fact bits and an empty memo per issue."""
+        bits = 0
+        for attr, mask in self._jurisdiction_facts:
+            if getattr(jurisdiction, attr):
+                bits |= mask
+        return bits, tuple(
+            _FindingMemo(
+                self._resolve_finding, issue, jurisdiction, reb_approved
+            )
+            for issue in self._issues
+        )
+
+    def _resolve_finding(
+        self,
+        issue: tuple,
+        jurisdiction: Any,
+        reb_approved: bool,
+        bits: int,
+    ):
+        """Scan one issue's decision rows for one pattern of its inputs."""
         for mask, test in self._derived:
             if test(bits):
                 bits |= mask
-        block = []
-        for issue_id, rows in self._issues:
-            for row in rows:
-                if (bits & row.require) == row.require and not (
-                    bits & row.forbid
-                ):
-                    break
-            risk = row.risk
-            rationale = row.rationale
-            mitigations = row.mitigations
-            for (
-                require,
-                forbid,
-                mod_risk,
-                suffix,
-                extra,
-            ) in row.modifiers:
-                if (bits & require) == require and not (
-                    bits & forbid
-                ):
-                    if mod_risk is not None:
-                        risk = mod_risk
-                    rationale += suffix
-                    mitigations += extra
-            block.append(
-                finding_cls(
-                    issue=issue_id,
-                    jurisdiction=jurisdiction,
-                    applicable=row.applicable,
-                    risk=risk,
-                    rationale=rationale,
-                    statutes=self._statutes(
-                        issue_id, jurisdiction.code
-                    )
-                    if row.applicable
-                    else (),
-                    defences=defences
-                    if row.defences
-                    else no_defences,
-                    mitigations=mitigations,
-                )
-            )
-        return tuple(block)
+        issue_id, rows = issue
+        for row in rows:
+            if (bits & row.require) == row.require and not (
+                bits & row.forbid
+            ):
+                break
+        risk = row.risk
+        rationale = row.rationale
+        mitigations = row.mitigations
+        for (
+            require,
+            forbid,
+            mod_risk,
+            suffix,
+            extra,
+        ) in row.modifiers:
+            if (bits & require) == require and not (bits & forbid):
+                if mod_risk is not None:
+                    risk = mod_risk
+                rationale += suffix
+                mitigations += extra
+        return self._finding_cls(
+            issue=issue_id,
+            jurisdiction=jurisdiction,
+            applicable=row.applicable,
+            risk=risk,
+            rationale=rationale,
+            statutes=self._statutes(issue_id, jurisdiction.code)
+            if row.applicable
+            else (),
+            defences=self._defences[reb_approved]
+            if row.defences
+            else (),
+            mitigations=mitigations,
+        )
 
     # -- Menlo ----------------------------------------------------------
     def _evaluate_principle(
         self,
         entry: tuple,
-        scalars: Mapping[str, bool],
+        bits: int,
         enums: Mapping[str, list],
         context: Mapping[str, str],
     ):
         _, principle, checks, fallback = entry
-        bits = self._menlo_space.pack(scalars)
         rank = 0
         reasons: list[str] = []
         recommendations: list[str] = []
@@ -496,7 +567,7 @@ class CompiledPolicy:
         scalars, enums, context = menlo_facts(evaluation)
         return self._evaluate_principle(
             self._principles_by_id[principle_id],
-            scalars,
+            self._menlo_space.pack(scalars),
             enums,
             context,
         )
@@ -504,8 +575,9 @@ class CompiledPolicy:
     def menlo_findings(self, evaluation: Any) -> tuple:
         """All principle findings, in the pack's order."""
         scalars, enums, context = menlo_facts(evaluation)
+        bits = self._menlo_space.pack(scalars)
         return tuple(
-            self._evaluate_principle(entry, scalars, enums, context)
+            self._evaluate_principle(entry, bits, enums, context)
             for entry in self._principles
         )
 

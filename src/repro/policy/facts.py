@@ -33,33 +33,41 @@ def menlo_facts(
     enumerations (each item a template mapping), and scalar template
     context strings.
     """
+    # Imported here so that importing the policy package (which the
+    # ops layer does for pack digests) does not load all of
+    # repro.ethics.
     from ..ethics.stakeholders import ConsentStatus
 
     stakeholders = evaluation.stakeholders
     harms = evaluation.harms
     benefits = evaluation.benefits
 
-    unprotected = stakeholders.unprotected()
-    not_sought = any(
-        s.consent == ConsentStatus.NOT_SOUGHT and s.natural_person
-        for s in stakeholders
-    )
-    vulnerable = [
-        {"name": s.name} for s in stakeholders.vulnerable()
-    ]
+    residuals: list[float] = []
+    residuals_by_party: dict[str, list[float]] = {}
+    for harm in harms:
+        residual = harm.residual_risk
+        residuals.append(residual)
+        residuals_by_party.setdefault(harm.stakeholder_id, []).append(
+            residual
+        )
+    total_residual = sum(residuals)
+    total_benefit = sum(b.expected_value for b in benefits)
 
     threshold = evaluation.residual_risk_threshold
-    total_benefit = sum(b.expected_value for b in benefits)
-    total_residual = sum(h.residual_risk for h in harms)
+    unprotected: list[str] = []
+    not_sought = False
+    vulnerable: list[dict[str, str]] = []
     over_threshold: list[dict[str, str]] = []
     for stakeholder in stakeholders:
+        if stakeholder.needs_reb_protection:
+            unprotected.append(stakeholder.name)
+        if stakeholder.vulnerable:
+            vulnerable.append({"name": stakeholder.name})
         if not stakeholder.natural_person:
             continue
-        residual = sum(
-            h.residual_risk
-            for h in harms
-            if h.stakeholder_id == stakeholder.id
-        )
+        if stakeholder.consent == ConsentStatus.NOT_SOUGHT:
+            not_sought = True
+        residual = sum(residuals_by_party.get(stakeholder.id, ()))
         if residual > threshold:
             over_threshold.append(
                 {
@@ -69,9 +77,8 @@ def menlo_facts(
                 }
             )
 
-    harmed = {h.stakeholder_id for h in harms}
     benefiting = {b.beneficiary for b in benefits}
-    only_harmed = harmed - benefiting - {"society"}
+    only_harmed = residuals_by_party.keys() - benefiting - {"society"}
     burdened = bool(only_harmed and benefiting)
     burdened_names = ", ".join(
         stakeholders[s].name
@@ -100,9 +107,7 @@ def menlo_facts(
         "over_threshold_stakeholders": over_threshold,
     }
     context = {
-        "unprotected_names": ", ".join(
-            s.name for s in unprotected
-        ),
+        "unprotected_names": ", ".join(unprotected),
         "burdened_names": burdened_names,
         "total_residual": f"{total_residual:.2f}",
         "total_benefit": f"{total_benefit:.2f}",
@@ -127,6 +132,8 @@ def assessment_facts(
     arguments mirror :func:`repro.assessment.engine.assess_project`
     intermediates. Returns ``(scalars, enums)``.
     """
+    # Not at module level: legal/rules.py imports this package, and
+    # the ops layer imports it without needing repro.ethics.
     from ..ethics.menlo import FindingStatus
     from ..legal.rules import RiskLevel
 

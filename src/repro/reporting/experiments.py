@@ -56,8 +56,8 @@ def run_reproduction(
             ExperimentOutcome(
                 experiment_id="E2-E8",
                 description=f"§5 claim: {check.claim}",
-                expected=repr(check.expected),
-                measured=repr(check.measured),
+                expected=check.expected_text,
+                measured=check.measured_text,
                 passed=check.ok,
             )
         )
