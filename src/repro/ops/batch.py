@@ -4,8 +4,10 @@
 object per line (``{"op": "table1", "args": {"format": "csv"}}``),
 fans the requests out over a pool of pre-warmed worker processes,
 and emits one compact JSON response line per request **in input
-order** — byte-identical for any worker count, by the same
-ordered-drain discipline the safeguard pipeline uses. Each response
+order** — byte-identical for any worker count, because results
+come back through the warm pool's ordered drain
+(:class:`~repro.ops.pool.OrderedDrain`), the same one the safeguard
+pipeline runs on. Each response
 line carries the operation's structured payload plus the exact
 stdout the equivalent subcommand would have produced, so a batch run
 is a verifiable transcript of serial CLI invocations.
@@ -38,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -596,48 +597,23 @@ class BatchExecutor:
         operations: dict[str, Operation],
     ) -> tuple[tuple[dict, ...], dict | None]:
         """Run the dispatch plan; drain strictly in input order."""
-        telemetry = get_observer().enabled
         ctx = pool.context
         cache = pool.cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         plan, chunks = self._plan(requests, operations, ctx)
-        window = self.workers * 2
-        futures: deque = deque()
-        results: dict[int, ChunkResult] = {}
-        submitted = 0
+        drain = pool.map_requests(
+            chunks, get_observer().enabled, window=self.workers * 2
+        )
+        drained = -1
+        result: ChunkResult | None = None
         worker_hits = 0
         worker_misses = 0
         lines: list[dict] = []
-
-        def fill_window() -> None:
-            nonlocal submitted
-            while submitted < len(chunks) and len(futures) < window:
-                futures.append(
-                    (
-                        submitted,
-                        pool.submit_chunk(
-                            chunks[submitted], telemetry
-                        ),
-                    )
-                )
-                submitted += 1
-
-        def drain_next_chunk() -> None:
-            nonlocal worker_hits, worker_misses
-            chunk_id, future = futures.popleft()
-            result = pool.outcome(future, chunks[chunk_id])
-            if cache is not None:
-                cache.merge(result.pairs)
-            worker_hits += result.hits
-            worker_misses += result.misses
-            results[chunk_id] = result
-            fill_window()
-
         series = window_series()
 
         def observe_line(
-            line: dict, latency: float | None, outcome: str | None
+            line: dict, latency: float, outcome: str | None
         ) -> None:
             if series is None:
                 return
@@ -645,51 +621,55 @@ class BatchExecutor:
                 RequestSample(
                     ok=line["ok"],
                     latency=latency,
-                    queue_depth=len(futures),
-                    busy_workers=min(len(futures), self.workers),
+                    queue_depth=len(drain),
+                    busy_workers=min(len(drain), self.workers),
                     workers=self.workers,
                     cache=outcome,
                 )
             )
 
-        fill_window()
-        for kind, request, chunk_id, position in plan:
-            if kind == _LOCAL:
-                local_hits = (
-                    cache.hits if cache is not None else 0
-                )
-                local_misses = (
-                    cache.misses if cache is not None else 0
-                )
-                started = time.perf_counter()
-                line = _run_one(
-                    request.index,
-                    request.op,
-                    request.args,
-                    ctx,
-                )
+        try:
+            for kind, request, chunk_id, position in plan:
+                if kind == _LOCAL:
+                    local_hits = cache.hits if cache is not None else 0
+                    local_misses = (
+                        cache.misses if cache is not None else 0
+                    )
+                    started = time.perf_counter()
+                    line = _run_one(
+                        request.index,
+                        request.op,
+                        request.args,
+                        ctx,
+                    )
+                    lines.append(line)
+                    observe_line(
+                        line,
+                        time.perf_counter() - started,
+                        _cache_outcome(cache, local_hits, local_misses),
+                    )
+                    continue
+                # Plan entries name chunks in submission order, so the
+                # drain reaches this one after merging every earlier
+                # chunk's pure results into the shared cache.
+                while drained < chunk_id:
+                    result = next(drain)
+                    if cache is not None:
+                        cache.merge(result.pairs)
+                    worker_hits += result.hits
+                    worker_misses += result.misses
+                    drained += 1
+                shard = result.shards[position]
+                if shard is not None:
+                    replay_shard(shard)
+                line = result.lines[position]
                 lines.append(line)
-                observe_line(
-                    line,
-                    time.perf_counter() - started,
-                    _cache_outcome(cache, local_hits, local_misses),
-                )
-                continue
-            while chunk_id not in results:
-                drain_next_chunk()
-            result = results[chunk_id]
-            shard = result.shards[position]
-            if shard is not None:
-                replay_shard(shard)
-            line = result.lines[position]
-            lines.append(line)
-            # Pool-served latencies live in the worker span records,
-            # not here: a drain-time measurement would charge queue
-            # wait to the request. Cache outcome likewise stays with
-            # the worker's own counters.
-            observe_line(line, None, None)
-            if position + 1 == len(result.lines):
-                del results[chunk_id]
+                # Latency and cache outcome were measured in the worker
+                # around the request itself, so queue wait is not
+                # charged to the request.
+                observe_line(line, *result.samples[position])
+        finally:
+            drain.close()
         stats = None
         if cache is not None:
             coordinator = _stats_delta(

@@ -28,11 +28,19 @@ once per *process lifetime* instead of once per *batch run*:
   contiguous chunks (:func:`auto_chunk_size` targets ~4 chunks per
   worker, capped so a chunk never grows unbounded), amortising the
   submission overhead that dominated small-request batches.
+* **One ordered drain.** :meth:`WarmPool.map_ordered` is the only
+  way work reaches the workers: a bounded submit window of
+  module-level chunk tasks, drained strictly in submission order
+  (:class:`OrderedDrain`). The batch executor's request chunks and
+  the safeguard pipeline's record chunks both run on it, so both get
+  the same in-order merge, warm workers and failure handling.
 * **Graceful degradation.** A crashed or unpicklable worker
-  surfaces as :class:`~repro.errors.BatchError` naming the affected
-  request indexes — never a raw ``BrokenProcessPool`` traceback —
-  an ``ops/worker-lost`` audit event is emitted, and the pool
-  discards its broken executor so the next use rebuilds lazily.
+  surfaces as a typed :class:`~repro.errors.ReproError` naming the
+  affected requests or chunk (:class:`~repro.errors.BatchError` for
+  batches) — never a raw ``BrokenProcessPool`` traceback — an
+  ``ops/worker-lost`` audit event is emitted, the flight recorder
+  dumps a ``worker-lost`` incident, and the pool discards its broken
+  executor so the next use rebuilds lazily.
 
 Pools are keyed by ``(workers, cache enablement)`` in a module-level
 registry (:func:`warm_pool`); :func:`shutdown_warm_pools` tears all
@@ -43,16 +51,19 @@ pre-forked workers. :meth:`WarmPool.health` is the liveness/
 readiness report (live workers, rebuilds, cache counters, optional
 probe round-trip) behind ``repro-ethics obs health``. Everything
 submitted to the pool is a module-level function — staticcheck rule
-R9 (worker-safety) audits the submission sites below.
+R9 (worker-safety) audits every :meth:`WarmPool.map_ordered` call.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
+import time
+from collections import deque
+from collections.abc import Callable, Iterable
 from concurrent.futures import BrokenExecutor
 
-from ..errors import BatchError
+from ..errors import BatchError, ReproError
 from ..observability import audit_event, flight_recorder
 from ..observability.worker import TelemetryShard, WorkerTelemetry
 from .cache import ResultCache
@@ -60,6 +71,7 @@ from .context import RunContext
 
 __all__ = [
     "ChunkResult",
+    "OrderedDrain",
     "WarmPool",
     "active_pools",
     "auto_chunk_size",
@@ -97,15 +109,18 @@ class ChunkResult:
     ``lines`` are the response line bodies in chunk order;
     ``shards`` is the parallel tuple of per-request telemetry
     captures (``None`` when the coordinator's observer is disabled);
-    ``pairs`` are the content-addressed ``(key, response)`` entries
-    for pure operations this chunk computed, ready to merge into the
-    coordinator cache; ``hits``/``misses`` are the worker-cache
-    counter deltas this chunk incurred, aggregated into the batch
-    summary.
+    ``samples`` the parallel ``(latency seconds, cache outcome)``
+    pairs measured in the worker, for the coordinator's window
+    series; ``pairs`` are the content-addressed ``(key, response)``
+    entries for pure operations this chunk computed, ready to merge
+    into the coordinator cache; ``hits``/``misses`` are the
+    worker-cache counter deltas this chunk incurred, aggregated into
+    the batch summary.
     """
 
     lines: tuple[dict, ...]
     shards: tuple[WorkerTelemetry | None, ...]
+    samples: tuple[tuple[float, str | None], ...] = ()
     pairs: tuple[tuple[str, object], ...] = ()
     hits: int = 0
     misses: int = 0
@@ -139,11 +154,14 @@ def _execute_chunk(
     same :func:`~repro.ops.batch._run_one` path a serial run uses,
     under its own :class:`~repro.observability.worker.TelemetryShard`
     when the coordinator observes, so per-request audit brackets
-    replay in exact submission order. Successful pure results are
-    exported as ``(key, response)`` pairs for the coordinator cache,
-    looked up under the planned key rather than hashed again.
+    replay in exact submission order. Each request's latency and
+    cache outcome are measured here, where the request ran, so the
+    coordinator's window series sees the same samples a serial run
+    records. Successful pure results are exported as ``(key,
+    response)`` pairs for the coordinator cache, looked up under the
+    planned key rather than hashed again.
     """
-    from .batch import _run_one, _worker_context
+    from .batch import _cache_outcome, _run_one, _worker_context
 
     ctx = _worker_context(use_cache)
     cache = ctx.cache
@@ -151,8 +169,12 @@ def _execute_chunk(
     misses_before = cache.misses if cache is not None else 0
     lines: list[dict] = []
     shards: list[WorkerTelemetry | None] = []
+    samples: list[tuple[float, str | None]] = []
     pairs: list[tuple[str, object]] = []
     for index, name, values, key in chunk:
+        hits = cache.hits if cache is not None else 0
+        misses = cache.misses if cache is not None else 0
+        started = time.perf_counter()
         if telemetry:
             with TelemetryShard() as shard:
                 line = _run_one(index, name, values, ctx)
@@ -160,6 +182,12 @@ def _execute_chunk(
         else:
             line = _run_one(index, name, values, ctx)
             shards.append(None)
+        samples.append(
+            (
+                time.perf_counter() - started,
+                _cache_outcome(cache, hits, misses),
+            )
+        )
         lines.append(line)
         if cache is None or key is None or not line["ok"]:
             continue
@@ -169,12 +197,104 @@ def _execute_chunk(
     return ChunkResult(
         lines=tuple(lines),
         shards=tuple(shards),
+        samples=tuple(samples),
         pairs=tuple(pairs),
         hits=(cache.hits - hits_before) if cache is not None else 0,
         misses=(
             cache.misses - misses_before
         ) if cache is not None else 0,
     )
+
+
+def _request_span(chunk: tuple) -> str:
+    """How a worker-lost error names a request chunk's indexes."""
+    first, last = chunk[0][0], chunk[-1][0]
+    if first == last:
+        return f"request {first}"
+    return f"requests {first}-{last}"
+
+
+class OrderedDrain:
+    """A bounded submit window over a :class:`WarmPool`, drained in order.
+
+    Built by :meth:`WarmPool.map_ordered`. Construction submits jobs
+    until *window* are in flight; each ``next()`` waits for the
+    **oldest** job, submits one more and returns the oldest result —
+    so results come back in submission order whatever order workers
+    finish in, and the job source (possibly a lazy generator) is
+    consumed at most *window* jobs ahead of the consumer.
+    ``len(drain)`` is the number of jobs in flight, the queue depth
+    the batch executor reports.
+
+    A job that raises re-raises here after :meth:`close` cancels
+    everything still queued. A lost worker is always charged to the
+    oldest undrained job, whichever submit or wait first noticed the
+    broken pool, so the typed *error* names the same span on every
+    run.
+    """
+
+    def __init__(
+        self,
+        pool: "WarmPool",
+        task: Callable,
+        jobs: Iterable[tuple[str, tuple]],
+        window: int,
+        error: type[ReproError],
+    ) -> None:
+        self._pool = pool
+        self._task = task
+        self._jobs = iter(jobs)
+        self._window = window
+        self._error = error
+        self._pending: deque = deque()
+        self._unsubmitted: tuple[str, tuple] | None = None
+        self._fill()
+
+    def __iter__(self) -> "OrderedDrain":
+        return self
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def __next__(self):
+        if not self._pending:
+            raise StopIteration
+        span, future = self._pending.popleft()
+        try:
+            result = self._pool.outcome(future)
+        except BrokenExecutor as exc:
+            self.close()
+            raise self._pool._lost(span, exc, self._error) from exc
+        except BaseException:
+            self.close()
+            raise
+        self._fill()
+        return result
+
+    def close(self) -> None:
+        """Cancel every submitted job that has not started yet."""
+        while self._pending:
+            self._pending.popleft()[1].cancel()
+
+    def _fill(self) -> None:
+        while len(self._pending) < self._window:
+            job = self._unsubmitted or next(self._jobs, None)
+            if job is None:
+                return
+            span, args = job
+            try:
+                future = self._pool.submit_chunk(self._task, args)
+            except (BrokenExecutor, RuntimeError) as exc:
+                if not self._pending:
+                    raise self._pool._lost(
+                        span, exc, self._error
+                    ) from exc
+                # An in-flight job's worker broke the pool: keep this
+                # job and let the oldest one's wait report the loss.
+                self._unsubmitted = job
+                return
+            self._unsubmitted = None
+            self._pending.append((span, future))
 
 
 class WarmPool:
@@ -233,42 +353,61 @@ class WarmPool:
         full complement of processes to spawn and run
         :func:`_warm_worker`.
         """
-        executor = self._ensure()
-        probes = [
-            executor.submit(_execute_chunk, (), False, self.use_cache)
-            for _ in range(self.workers)
-        ]
-        for probe in probes:
-            self.outcome(probe, ())
+        probe = ("a warm-up probe", ((), False, self.use_cache))
+        for _ in self.map_ordered(
+            _execute_chunk,
+            [probe] * self.workers,
+            window=self.workers,
+        ):
+            pass
         return self.workers
 
-    def submit_chunk(self, chunk: tuple, telemetry: bool):
-        """Submit one ``(index, op, args, key)`` chunk; returns its future.
+    def map_ordered(
+        self,
+        task: Callable,
+        jobs: Iterable[tuple[str, tuple]],
+        *,
+        window: int,
+        error: type[ReproError] = BatchError,
+    ) -> OrderedDrain:
+        """Run ``task(*args)`` for each ``(span, args)`` job, in order.
 
-        A pool whose executor died between runs raises
-        :class:`BatchError` (and discards the executor for lazy
-        rebuild) instead of leaking ``BrokenProcessPool``.
+        *task* must be a module-level function (staticcheck rule R9
+        audits every call site); *span* names the job in the
+        worker-lost error (``"requests 3-5"``, ``"chunk 7"``), which
+        is raised as *error*. At most *window* jobs are in flight.
+        """
+        return OrderedDrain(self, task, jobs, window, error)
+
+    def map_requests(
+        self, chunks: Iterable[tuple], telemetry: bool, *, window: int
+    ) -> OrderedDrain:
+        """Run batch request chunks; yields :class:`ChunkResult` in order."""
+        return self.map_ordered(
+            _execute_chunk,
+            (
+                (_request_span(chunk), (chunk, telemetry, self.use_cache))
+                for chunk in chunks
+            ),
+            window=window,
+        )
+
+    def submit_chunk(self, task: Callable, args: tuple):
+        """Submit one ``task(*args)`` job; returns its future.
+
+        Raises ``BrokenExecutor`` (or ``RuntimeError`` after a
+        shutdown) for :class:`OrderedDrain` to map to a typed error.
         """
         executor = self._ensure()
-        try:
-            return executor.submit(
-                _execute_chunk, chunk, telemetry, self.use_cache
-            )
-        except (BrokenExecutor, RuntimeError) as exc:
-            raise self._lost(chunk, exc) from exc
+        # The one forwarding site: R9 audits *task* where it is
+        # named, at every map_ordered call.
+        return executor.submit(  # repro: noqa[R9] see map_ordered
+            task, *args
+        )
 
-    def outcome(self, future, chunk: tuple) -> ChunkResult:
-        """Resolve one chunk future, mapping pool loss to BatchError.
-
-        The coordinator's drain path: a worker that died mid-chunk
-        surfaces here as :class:`BatchError` naming the affected
-        request indexes, and the executor is discarded for lazy
-        rebuild.
-        """
-        try:
-            return future.result()
-        except BrokenExecutor as exc:
-            raise self._lost(chunk, exc) from exc
+    def outcome(self, future):
+        """Wait for one job future; the drain's only blocking point."""
+        return future.result()
 
     def health(self, *, probe: bool = False) -> dict:
         """The pool's liveness/readiness report, JSON-safe and sorted.
@@ -316,18 +455,14 @@ class WarmPool:
             report["live"] = self.live
         return report
 
-    def _lost(self, chunk: tuple, exc: BaseException) -> BatchError:
+    def _lost(
+        self,
+        span: str,
+        exc: BaseException,
+        error: type[ReproError],
+    ) -> ReproError:
         """Discard the broken executor; describe the loss precisely."""
         self.discard()
-        if chunk:
-            first, last = chunk[0][0], chunk[-1][0]
-            span = (
-                f"request {first}"
-                if first == last
-                else f"requests {first}-{last}"
-            )
-        else:
-            span = "a warm-up probe"
         audit_event(
             "ops",
             "worker-lost",
@@ -348,7 +483,7 @@ class WarmPool:
                 workers=self.workers,
                 rebuilds=self.rebuilds,
             )
-        return BatchError(
+        return error(
             f"worker process lost while running {span} "
             f"({type(exc).__name__}: {exc}); the pool was discarded "
             "and will rebuild on next use"

@@ -6,11 +6,15 @@ iterator of record dicts — re-chunks it to a fixed ``chunk_size``,
 runs every stage over each chunk, and merges results **in chunk
 order**. With ``workers <= 1`` everything runs inline with one
 persistent set of stage runners (their caches warm across chunks);
-with more workers, chunks fan out to a ``concurrent.futures``
-process pool and are merged back in submission order, so the
-concatenated output is byte-identical to a serial run (stages are
-deterministic functions of their spec and chunk — see
-:mod:`repro.pipeline.stages`).
+with more workers, chunks fan out over a
+:class:`~repro.ops.pool.WarmPool` — the batch executor's pool —
+through its ordered drain, so results merge back in submission
+order and the concatenated output is byte-identical to a serial run
+(stages are deterministic functions of their spec and chunk — see
+:mod:`repro.pipeline.stages`). Each run builds its own pool and
+shuts it down; a lost worker surfaces as
+:class:`~repro.errors.SafeguardError` with an ``ops/worker-lost``
+audit event and a ``worker-lost`` flight-recorder incident.
 
 Observability: each run accumulates per-stage counters, gauges and
 timing histograms in a private
@@ -41,9 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 from ..datasets.common import chunked
 from ..errors import SafeguardError
@@ -347,40 +349,36 @@ class SafeguardPipeline:
             WorkerTelemetry | None,
         ]
     ]:
-        """Process-pool fan-out with ordered merge.
+        """Worker-pool fan-out with ordered merge.
 
-        Futures are drained strictly in submission order (a bounded
-        deque keeps at most ``4 × workers`` chunks in flight), so the
-        merged stream preserves chunk order by construction — and so
-        worker telemetry shards replay into the parent trail in the
-        same order a serial run would have emitted their events.
+        The pool's ordered drain keeps at most ``4 × workers`` chunks
+        in flight and returns results strictly in submission order,
+        so the merged stream preserves chunk order by construction —
+        and worker telemetry shards replay into the parent trail in
+        the same order a serial run would have emitted their events.
         """
-        window = self._workers * 4
+        from ..ops.pool import WarmPool
+
         telemetry = get_observer().enabled
-        # Build the runners in the parent before the pool exists: on
+        # Build the runners in the parent before the pool forks: on
         # fork platforms every worker inherits the populated
         # _RUNNER_CACHE, so one-time setup cost (the seal stage's
         # PBKDF2 key stretch, PRF protos) is paid once instead of
         # once per worker. On spawn platforms workers simply rebuild.
         _runners_for(self._specs)
-        with ProcessPoolExecutor(
-            max_workers=self._workers
-        ) as pool:
-            pending: deque = deque()
-            for index, chunk in enumerate(chunks):
-                pending.append(
-                    pool.submit(
-                        _pool_apply,
-                        self._specs,
-                        chunk,
-                        index,
-                        telemetry,
-                    )
-                )
-                if len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
+        pool = WarmPool(self._workers, use_cache=False)
+        try:
+            yield from pool.map_ordered(
+                _pool_apply,
+                (
+                    (f"chunk {index}", (self._specs, chunk, index, telemetry))
+                    for index, chunk in enumerate(chunks)
+                ),
+                window=self._workers * 4,
+                error=SafeguardError,
+            )
+        finally:
+            pool.shutdown()
 
     def _metrics(
         self,

@@ -53,7 +53,7 @@ class StageFailure(SafeguardError):
     """A stage raised while processing one chunk.
 
     Carries the stage name and 0-based chunk index so a failure
-    inside a ``ProcessPoolExecutor`` worker surfaces *where* it
+    inside a pool worker process surfaces *where* it
     happened instead of a bare remote traceback, and so the
     coordinator can emit a localized ``pipeline/chunk-failed`` audit
     event before re-raising. ``__reduce__`` keeps the structured

@@ -1,8 +1,9 @@
 """R9 — worker-safety: process-pool submissions picklable by design.
 
-The batch executor (``ops/batch.py``), the pipeline fan-out
-(``pipeline/core.py``) and the parallel lint itself ship work to
-``ProcessPoolExecutor`` workers. Everything that crosses that
+The batch executor (``ops/batch.py``) and the pipeline fan-out
+(``pipeline/core.py``) ship work to warm-pool workers through
+``WarmPool.map_ordered``; the parallel lint ships its own to a
+``ProcessPoolExecutor``. Everything that crosses that
 boundary is pickled, and the failure modes are nasty precisely
 because they are *not* local: a lambda or bound method raises
 ``PicklingError`` only when the pool is first exercised, and a
@@ -31,8 +32,12 @@ executors makes worker-local state invisible in output bytes.
 Pool detection is name-based within a module: names bound to a
 ``ProcessPoolExecutor`` (or ``multiprocessing.Pool``) via assignment
 or ``with ... as pool`` are tracked, and ``submit``/``map``-family
-calls on them are audited. Thread pools are exempt — nothing is
-pickled across a thread boundary.
+calls on them are audited. ``map_ordered`` calls are audited on any
+receiver: the warm pool is usually a parameter or an attribute, and
+the method name belongs to it alone. The pool's own forwarding
+``submit`` of the caller's task is the registered baseline exception.
+Thread pools are exempt — nothing is pickled across a thread
+boundary.
 """
 
 from __future__ import annotations
@@ -136,6 +141,8 @@ class WorkerSafetyRule(Rule):
         func = call.func
         if not isinstance(func, ast.Attribute):
             return False
+        if func.attr == "map_ordered":
+            return True
         if func.attr not in _SUBMIT_METHODS:
             return False
         if isinstance(func.value, ast.Name):

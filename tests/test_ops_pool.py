@@ -218,6 +218,29 @@ class TestSharedCache:
         assert second.text() == first.text()
 
 
+class TestPoolPathSamples:
+    def test_pool_served_requests_report_worker_latency(
+        self, requests_file
+    ):
+        """The window series sees a latency for every request, pool
+        or local, so latency objectives can gate parallel runs."""
+        from repro.observability import Observer, WindowSeries, observed
+
+        requests = load_requests(requests_file)
+        series = WindowSeries(window_size=len(requests))
+        with observed(Observer().attach(windows=series)):
+            result = BatchExecutor(workers=2, chunk_size=1).run(
+                requests
+            )
+        (window,) = series.windows()
+        assert window.latency.count == len(requests)
+        assert window.measurements()["latency_p99_seconds"] > 0
+        # Five distinct pure requests miss in workers; the duplicate
+        # table1 is a coordinator hit.
+        assert window.measurements()["cache_hit_rate"] == round(1 / 6, 6)
+        assert result.summary["ok"] == len(requests)
+
+
 class TestFailFastValidation:
     def test_invalid_batch_never_spawns_a_worker(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -346,30 +369,49 @@ class TestStaticcheckOverPool:
         """The submission sites are actually visible to R9.
 
         Guards against the rule silently losing sight of the pool:
-        the module must bind a tracked executor name and submit a
-        module-level callable through it.
+        the module must bind a tracked executor name, its one
+        forwarding ``submit`` must surface as the suppressed finding
+        the baseline registers, and every ``map_ordered`` call in the
+        package must name a module-level task.
         """
         import ast
         import inspect
 
+        from repro.ops import batch as batch_module
         from repro.ops import pool as pool_module
+        from repro.pipeline import core as pipeline_module
+        from repro.staticcheck import BASELINE, lint_repo
         from repro.staticcheck.rules_workers import (
             WorkerSafetyRule,
         )
 
-        tree = ast.parse(inspect.getsource(pool_module))
-        submits = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "submit"
+        findings = [
+            finding
+            for finding in lint_repo(
+                select=("R9",), incremental=False
+            )
+            if finding.rule_id == "R9"
         ]
-        assert submits, "pool module no longer submits work?"
-        for call in submits:
-            target = call.args[0]
-            assert isinstance(target, ast.Name)
-            assert target.id == "_execute_chunk"
+        assert [
+            (finding.path, finding.suppressed) for finding in findings
+        ] == [("src/repro/ops/pool.py", True)]
+        assert any(
+            entry.rule_id == "R9"
+            and entry.path == "src/repro/ops/pool.py"
+            for entry in BASELINE
+        )
+        tasks = set()
+        for module in (pool_module, batch_module, pipeline_module):
+            tree = ast.parse(inspect.getsource(module))
+            tasks.update(
+                node.args[0].id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_ordered"
+                and isinstance(node.args[0], ast.Name)
+            )
+        assert tasks == {"_execute_chunk", "_pool_apply"}
         assert WorkerSafetyRule().id == "R9"
 
 

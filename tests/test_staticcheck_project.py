@@ -349,6 +349,42 @@ class TestR9WorkerSafety:
         )
         assert lint_tree(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        ("call", "fragment"),
+        [
+            ("self.pool.map_ordered(lambda x: x, jobs, window=2)",
+             "lambda"),
+            ("pool.map_ordered(_local, jobs, window=2)",
+             "module-level function"),
+            (None, None),
+        ],
+    )
+    def test_warm_pool_map_ordered_audited_on_any_receiver(
+        self, tmp_path, call, fragment
+    ):
+        """The warm pool is a parameter or attribute, never a
+        tracked executor name, yet its tasks are still audited."""
+        call = call or "pool.map_ordered(_worker, jobs, window=2)"
+        build_tree(
+            tmp_path,
+            {
+                "ops/runner.py": (
+                    "def _worker(item):\n"
+                    "    return item\n"
+                    "def run(self, pool, jobs):\n"
+                    "    def _local(item):\n"
+                    "        return item\n"
+                    f"    return {call}\n"
+                ),
+            },
+        )
+        findings = lint_tree(tmp_path)
+        if fragment is None:
+            assert findings == []
+        else:
+            assert [f.rule_id for f in findings] == ["R9"]
+            assert fragment in findings[0].message
+
 
 class TestIncrementalCache:
     TREE = {

@@ -14,11 +14,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.datasets import BooterDatabaseGenerator
+from repro.errors import SafeguardError
 from repro.observability import (
+    FlightRecorder,
     Observer,
     TelemetryShard,
     WorkerTelemetry,
@@ -94,6 +98,23 @@ class ExplodingSpec:
     def build(self) -> "_ExplodingRunner":
         """Construct the live runner for this configuration."""
         return _ExplodingRunner(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class CrashingSpec:
+    """A stage whose worker process dies on every chunk."""
+
+    name = "crash"
+
+    def build(self) -> "_CrashingRunner":
+        """Construct the live runner for this configuration."""
+        return _CrashingRunner()
+
+
+class _CrashingRunner:
+    def apply(self, chunk, index):
+        """Kill the worker without cleanup (only ever run in one)."""
+        os._exit(13)
 
 
 class _ExplodingRunner:
@@ -257,3 +278,42 @@ class TestFailurePropagation:
         assert clone.chunk_index == 7
         assert clone.cause == "disk full"
         assert str(clone) == str(failure)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers unpickle the crash stage from this test module, "
+    "which only forked workers have imported",
+)
+class TestWorkerLoss:
+    """A dead pipeline worker is a typed, audited, recorded failure."""
+
+    def test_crash_is_typed_audited_and_dumped(self, tmp_path):
+        pipeline = SafeguardPipeline(
+            (CrashingSpec(),), workers=2, chunk_size=128
+        )
+        recorder = FlightRecorder(
+            capacity=32, dump_dir=tmp_path / "flight"
+        )
+        observer = Observer.recording(tmp_path / "crash.jsonl").attach(
+            flight=recorder
+        )
+        with observed(observer):
+            with pytest.raises(SafeguardError) as excinfo:
+                pipeline.run(booter_source())
+        observer.trail.close()
+        assert not isinstance(excinfo.value, StageFailure)
+        message = str(excinfo.value)
+        # Charged to the oldest chunk in flight, on every run.
+        assert "worker process lost while running chunk 0" in message
+        assert "BrokenProcessPool" in message
+        lost = [
+            event
+            for event in load_events(observer.trail.path)
+            if event.action == "worker-lost"
+        ]
+        assert [(e.category, e.detail["span"]) for e in lost] == [
+            ("ops", "chunk 0")
+        ]
+        assert observer.trail.verify().ok
+        assert [b.kind for b in recorder.incidents] == ["worker-lost"]
