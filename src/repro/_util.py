@@ -6,14 +6,37 @@ re-exported from :mod:`repro` and the subpackages.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import unicodedata
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TypeVar
 
 T = TypeVar("T")
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
+
+#: The one canonical-JSON spelling: sorted keys, no whitespace, ASCII
+#: escapes. Every digest, chain record, cache key and JSONL line the
+#: system writes goes through it, so their bytes agree by construction.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(obj: object) -> str:
+    """Compact, key-sorted JSON text of *obj* (one line).
+
+    >>> canonical_json({"b": [1, 2], "a": "x"})
+    '{"a":"x","b":[1,2]}'
+    """
+    return _CANONICAL.encode(obj)
+
+
+def blake2b_hex(text: str, digest_size: int) -> str:
+    """Keyless BLAKE2b hex digest of the UTF-8 bytes of *text*."""
+    return hashlib.blake2b(
+        text.encode("utf-8"), digest_size=digest_size
+    ).hexdigest()
 
 
 def slugify(text: str) -> str:
@@ -40,11 +63,6 @@ def ensure_unique(items: Iterable[T], what: str = "item") -> list[T]:
         seen.add(item)
         result.append(item)
     return result
-
-
-def freeze_mapping(mapping: Mapping[str, T]) -> dict[str, T]:
-    """Return a defensive shallow copy of *mapping* as a plain dict."""
-    return dict(mapping)
 
 
 def wrap_text(text: str, width: int = 72, indent: str = "") -> list[str]:

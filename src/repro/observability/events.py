@@ -21,9 +21,9 @@ metrics/tracing side channel instead, which is not chained).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 
+from .._util import blake2b_hex, canonical_json
 from ..errors import SafeguardError
 
 __all__ = ["AuditEvent", "GENESIS_DIGEST", "event_digest"]
@@ -33,12 +33,17 @@ GENESIS_DIGEST = "0" * 64
 
 _DIGEST_SIZE = 32  # BLAKE2b-256 → 64 hex characters
 
-
-def _canonical(payload: dict) -> bytes:
-    """Canonical JSON bytes: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+#: Every serialised field and the JSON type it must hold.
+_FIELD_TYPES: dict[str, type] = {
+    "sequence": int,
+    "category": str,
+    "action": str,
+    "subject": str,
+    "detail": dict,
+    "previous_digest": str,
+    "digest": str,
+}
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object"}
 
 
 def event_digest(payload: dict) -> str:
@@ -47,9 +52,7 @@ def event_digest(payload: dict) -> str:
     The payload must already contain ``previous_digest``; the chain
     property comes from hashing it together with the event content.
     """
-    return hashlib.blake2b(
-        _canonical(payload), digest_size=_DIGEST_SIZE
-    ).hexdigest()
+    return blake2b_hex(canonical_json(payload), _DIGEST_SIZE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,35 +98,36 @@ class AuditEvent:
         """One canonical JSONL line (payload plus digest)."""
         record = self.payload()
         record["digest"] = self.digest
-        return _canonical(record).decode("utf-8")
+        return canonical_json(record)
 
     @classmethod
     def from_json(cls, line: str) -> "AuditEvent":
         """Parse one JSONL line back into an event.
 
         Raises :class:`~repro.errors.SafeguardError` when the line is
-        not valid JSON or misses required fields — callers verifying
-        a file turn that into a localized corruption report.
+        not valid JSON, misses a required field or holds a field of
+        the wrong type — callers verifying a file turn that into a
+        localized corruption report.
         """
         try:
             record = json.loads(line)
         except ValueError as exc:
             raise SafeguardError(
-                f"unparseable audit record: {exc}"
+                f"audit record is not valid JSON: {exc}"
             ) from exc
         if not isinstance(record, dict):
             raise SafeguardError("audit record is not an object")
-        try:
-            return cls(
-                sequence=record["sequence"],
-                category=record["category"],
-                action=record["action"],
-                subject=record.get("subject", ""),
-                detail=record.get("detail", {}),
-                previous_digest=record["previous_digest"],
-                digest=record["digest"],
-            )
-        except KeyError as exc:
-            raise SafeguardError(
-                f"audit record missing field {exc.args[0]!r}"
-            ) from exc
+        record.setdefault("subject", "")
+        record.setdefault("detail", {})
+        for name, kind in _FIELD_TYPES.items():
+            if name not in record:
+                raise SafeguardError(
+                    f"audit record missing field {name!r}"
+                )
+            value = record[name]
+            if type(value) is bool or not isinstance(value, kind):
+                raise SafeguardError(
+                    f"audit record field {name!r} must be "
+                    f"{_TYPE_NAMES[kind]}"
+                )
+        return cls(**{name: record[name] for name in _FIELD_TYPES})

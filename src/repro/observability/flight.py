@@ -34,9 +34,9 @@ is exactly the kind of record a REB inspects. The
   context. The body bytes of a deterministic failure are identical
   across batch worker counts 1/2/4 — the acceptance property
   ``tests/test_health_surface.py`` pins down — and
-  :func:`verify_bundle_text` re-walks the chain, reusing the audit
-  verifier's :class:`~repro.observability.log.ChainVerification`
-  diagnosis vocabulary.
+  :func:`verify_bundle_text` feeds the frame records to the audit
+  chain walker, :func:`~repro.observability.log.verify_events`, so
+  bundles and audit logs share one definition of "intact".
 
 Bundles dump to ``dump_dir/incident-<seq>-<kind>.jsonl`` (sequence-
 numbered, clock-free names) and each dump emits an ``obs/incident``
@@ -46,14 +46,14 @@ audit event so the chain records that evidence was produced.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from collections import deque
 from pathlib import Path
 
+from .._util import blake2b_hex, canonical_json
 from ..errors import SafeguardError
 from .events import GENESIS_DIGEST
-from .log import ChainVerification
+from .log import ChainVerification, verify_events
 
 __all__ = [
     "FlightRecorder",
@@ -76,27 +76,66 @@ _BUNDLE_MARKER = "repro-incident"
 _BUNDLE_VERSION = 1
 
 
-def _canonical(record: dict) -> str:
-    """Canonical compact JSON (sorted keys), one line."""
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    )
+#: The keys every bundle header carries (see :meth:`IncidentBundle.header`).
+_HEADER_KEYS = (
+    "bundle", "deltas", "dropped", "frames", "kind", "plan",
+    "sequence", "tail_digest", "version",
+)
+
+#: The exact keys of each frame kind the ring records.
+_FRAME_KEYS = {
+    "event": {"kind", "category", "action", "subject", "detail"},
+    "span": {"kind", "name", "depth"},
+    "metric": {"kind", "name", "value"},
+}
 
 
-def _frame_digest(
-    index: int, frame: dict, previous_digest: str
-) -> str:
-    """BLAKE2b-256 over the canonical chained-frame payload."""
-    material = _canonical(
-        {
-            "frame": frame,
-            "index": index,
-            "previous_digest": previous_digest,
-        }
-    )
-    return hashlib.blake2b(
-        material.encode("utf-8"), digest_size=32
-    ).hexdigest()
+@dataclasses.dataclass(frozen=True)
+class _FrameLink:
+    """One chained frame record, shaped for the audit chain walker.
+
+    ``sequence`` is the record's ``index``; the digest is BLAKE2b-256
+    over the canonical ``{"frame", "index", "previous_digest"}``
+    payload, so each frame binds its predecessor like an audit event.
+    """
+
+    sequence: object
+    frame: dict
+    previous_digest: object
+    digest: object = ""
+
+    @classmethod
+    def from_record(cls, record: dict) -> "_FrameLink":
+        """Read a dumped record; one without a well-formed frame is
+        unparseable (the chain is keyless, so a valid digest alone
+        does not vouch for the frame's shape)."""
+        frame = record.get("frame")
+        if not (
+            isinstance(frame, dict)
+            and frame.keys() == _FRAME_KEYS.get(str(frame.get("kind")))
+        ):
+            raise SafeguardError(
+                "incident record has no well-formed frame object"
+            )
+        return cls(
+            record.get("index"),
+            frame,
+            record.get("previous_digest"),
+            record.get("digest"),
+        )
+
+    def compute_digest(self) -> str:
+        """BLAKE2b-256 over the canonical chained-frame payload."""
+        return blake2b_hex(
+            canonical_json(
+                {
+                    "frame": self.frame,
+                    "index": self.sequence,
+                    "previous_digest": self.previous_digest,
+                }
+            ),
+            32,
+        )
 
 
 def _normalized(frame: dict) -> dict:
@@ -178,21 +217,19 @@ class IncidentBundle:
         worker counts; everything configuration-dependent lives in
         the envelope instead.
         """
-        lines = [_canonical(self.header())]
+        lines = [canonical_json(self.header())]
         lines.extend(
-            _canonical(record) for record in self.records
+            canonical_json(record) for record in self.records
         )
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         """BLAKE2b-256 over the body bytes (the out-of-band anchor)."""
-        return hashlib.blake2b(
-            self.body_jsonl().encode("utf-8"), digest_size=32
-        ).hexdigest()
+        return blake2b_hex(self.body_jsonl(), 32)
 
     def to_jsonl(self) -> str:
         """The full dump: body plus one trailing envelope line."""
-        return self.body_jsonl() + _canonical(
+        return self.body_jsonl() + canonical_json(
             {"envelope": self.envelope}
         ) + "\n"
 
@@ -303,7 +340,7 @@ class FlightRecorder:
         previous = GENESIS_DIGEST
         for index, raw in enumerate(self._frames):
             frame = _normalized(raw)
-            digest = _frame_digest(index, frame, previous)
+            digest = _FrameLink(index, frame, previous).compute_digest()
             records.append(
                 {
                     "digest": digest,
@@ -384,8 +421,8 @@ def load_bundle_text(text: str) -> tuple[dict, list[dict], dict]:
     """Parse a dumped bundle: (header, frame records, envelope).
 
     Raises :class:`~repro.errors.SafeguardError` on structural
-    damage (bad JSON, missing marker); chain damage is the verifier's
-    department.
+    damage (bad JSON, a missing marker or header key, a non-object
+    envelope); chain damage is the verifier's department.
     """
     header: dict | None = None
     records: list[dict] = []
@@ -409,9 +446,27 @@ def load_bundle_text(text: str) -> tuple[dict, list[dict], dict]:
                     "not an incident bundle: first line lacks the "
                     f"{_BUNDLE_MARKER!r} marker"
                 )
+            missing = [key for key in _HEADER_KEYS if key not in body]
+            if missing:
+                raise SafeguardError(
+                    "incident bundle header lacks "
+                    f"{', '.join(missing)}"
+                )
+            if type(body["frames"]) is not int or not isinstance(
+                body["tail_digest"], str
+            ):
+                raise SafeguardError(
+                    "incident bundle header needs an integer frames "
+                    "count and a string tail_digest"
+                )
             header = body
         elif "envelope" in body:
             envelope = body["envelope"]
+            if not isinstance(envelope, dict):
+                raise SafeguardError(
+                    f"incident bundle line {number}: the envelope "
+                    "must be an object"
+                )
         else:
             records.append(body)
     if header is None:
@@ -422,72 +477,18 @@ def load_bundle_text(text: str) -> tuple[dict, list[dict], dict]:
 def verify_bundle_text(text: str) -> ChainVerification:
     """Re-walk a dumped bundle's frame chain, localizing damage.
 
-    The same diagnosis vocabulary as the audit verifier: an intact
-    bundle reports its length and tail digest; an altered, spliced or
-    truncated one names the first bad record. The header's ``frames``
-    count and ``tail_digest`` act as the built-in out-of-band
-    anchors, so dropping trailing frame lines is detected.
+    The frame records go through the audit chain walker
+    (:func:`~repro.observability.log.verify_events`), so the
+    diagnosis vocabulary is the audit verifier's: an intact bundle
+    reports its length and tail digest; an altered, spliced or
+    truncated one names the first bad record, and a record without
+    a frame object is corrupt at its index. The header's ``frames``
+    count and ``tail_digest`` are the built-in out-of-band anchors,
+    so dropping trailing frame lines is detected.
     """
     header, records, _ = load_bundle_text(text)
-    previous = GENESIS_DIGEST
-    for position, record in enumerate(records):
-        frame = record.get("frame")
-        if not isinstance(frame, dict):
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="record has no frame object",
-            )
-        if record.get("index") != position:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason=(
-                    f"index {record.get('index')} breaks the "
-                    f"sequence (expected {position})"
-                ),
-            )
-        if record.get("previous_digest") != previous:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="previous-digest link broken",
-            )
-        expected = _frame_digest(position, frame, previous)
-        if record.get("digest") != expected:
-            return ChainVerification(
-                ok=False,
-                length=position,
-                tail_digest=previous,
-                error_index=position,
-                reason="frame content does not match its digest",
-            )
-        previous = expected
-    if header.get("frames") != len(records):
-        return ChainVerification(
-            ok=False,
-            length=len(records),
-            tail_digest=previous,
-            error_index=len(records),
-            reason=(
-                f"header promises {header.get('frames')} frames, "
-                f"found {len(records)}"
-            ),
-        )
-    if header.get("tail_digest") != previous:
-        return ChainVerification(
-            ok=False,
-            length=len(records),
-            tail_digest=previous,
-            error_index=len(records),
-            reason="header tail digest does not match the chain",
-        )
-    return ChainVerification(
-        ok=True, length=len(records), tail_digest=previous
+    return verify_events(
+        map(_FrameLink.from_record, records),
+        expected_length=header["frames"],
+        expected_tail_digest=header["tail_digest"],
     )

@@ -81,6 +81,14 @@ def verify_events(
 ) -> ChainVerification:
     """Walk *events* and localize the first corrupted record.
 
+    This is the one chain walk of the system: besides
+    :class:`AuditEvent` it verifies incident-bundle frame records and
+    access-controller records — anything exposing ``sequence``,
+    ``previous_digest``, ``digest`` and ``compute_digest()``. An
+    iterator that raises :class:`~repro.errors.SafeguardError` for a
+    record it cannot parse makes that record the first corruption,
+    at its index.
+
     ``expected_length``/``expected_tail_digest`` are the out-of-band
     anchors that make tail truncation detectable; without them a
     valid prefix of a longer chain verifies clean (and is reported as
@@ -88,99 +96,95 @@ def verify_events(
     """
     previous = GENESIS_DIGEST
     count = 0
-    for index, event in enumerate(events):
-        if event.sequence != index:
-            return ChainVerification(
-                ok=False,
-                length=index,
-                tail_digest=previous,
-                error_index=index,
-                reason=(
+    reason = ""
+    try:
+        for index, event in enumerate(events):
+            if event.sequence != index:
+                reason = (
                     f"sequence {event.sequence} where {index} was "
                     "expected — record removed, inserted or reordered"
-                ),
-            )
-        if event.previous_digest != previous:
-            return ChainVerification(
-                ok=False,
-                length=index,
-                tail_digest=previous,
-                error_index=index,
-                reason=(
+                )
+            elif event.previous_digest != previous:
+                reason = (
                     "previous-digest mismatch — the chain was "
                     "spliced (records removed, inserted or "
                     "reordered) at this point"
-                ),
-            )
-        if event.compute_digest() != event.digest:
-            return ChainVerification(
-                ok=False,
-                length=index,
-                tail_digest=previous,
-                error_index=index,
-                reason=(
+                )
+            elif event.compute_digest() != event.digest:
+                reason = (
                     "stored digest does not match the record "
                     "content — the record was altered in place"
-                ),
-            )
-        previous = event.digest
-        count = index + 1
-    if expected_length is not None and count != expected_length:
-        return ChainVerification(
-            ok=False,
-            length=count,
-            tail_digest=previous,
-            error_index=count,
-            reason=(
-                f"chain has {count} events where {expected_length} "
-                "were recorded — the log was truncated"
-            ),
+                )
+            if reason:
+                break
+            previous = event.digest
+            count = index + 1
+    except SafeguardError as exc:
+        reason = f"{exc} — the record was altered in place"
+    if not reason and expected_length not in (None, count):
+        reason = (
+            f"chain has {count} events where {expected_length} "
+            "were recorded — the log was truncated"
         )
-    if (
-        expected_tail_digest is not None
-        and previous != expected_tail_digest
-    ):
+    if not reason and expected_tail_digest not in (None, previous):
+        reason = (
+            "tail digest does not match the recorded anchor — "
+            "the log was truncated or rewritten"
+        )
+    if reason:
         return ChainVerification(
             ok=False,
             length=count,
             tail_digest=previous,
             error_index=count,
-            reason=(
-                "tail digest does not match the recorded anchor — "
-                "the log was truncated or rewritten"
-            ),
+            reason=reason,
         )
     return ChainVerification(
         ok=True, length=count, tail_digest=previous
     )
 
 
-def load_events(path: str | Path) -> list[AuditEvent]:
-    """Read every event from a JSONL audit log.
+def _read_log(path: str | Path) -> Iterator[AuditEvent]:
+    """The line reader shared by :func:`load_events` and
+    :func:`verify_jsonl`.
 
-    Raises :class:`~repro.errors.SafeguardError` on an unreadable
-    file or an unparseable line (the error message carries the line
-    number, so even a bit flip that destroys the JSON itself is
-    localized).
+    Reads the whole file now — an unreadable file raises
+    :class:`~repro.errors.SafeguardError` here — and returns an
+    iterator parsing one non-blank line per step. A line that is not
+    UTF-8 or not a valid record raises ``SafeguardError`` naming its
+    line number.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise SafeguardError(
             f"cannot read audit log {path}: {exc}"
         ) from exc
-    events: list[AuditEvent] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(AuditEvent.from_json(line))
-        except SafeguardError as exc:
-            raise SafeguardError(
-                f"{path} line {number}: {exc}"
-            ) from exc
-    return events
+
+    def parse() -> Iterator[AuditEvent]:
+        for number, line in enumerate(data.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                yield AuditEvent.from_json(line.decode("utf-8"))
+            except (UnicodeDecodeError, SafeguardError) as exc:
+                raise SafeguardError(
+                    f"{path} line {number}: {exc}"
+                ) from exc
+
+    return parse()
+
+
+def load_events(path: str | Path) -> list[AuditEvent]:
+    """Read every event from a JSONL audit log.
+
+    Raises :class:`~repro.errors.SafeguardError` on an unreadable
+    file or a line that does not parse (the error message carries
+    the line number, so even a bit flip that destroys the JSON or
+    its UTF-8 encoding is localized).
+    """
+    return list(_read_log(path))
 
 
 def verify_jsonl(
@@ -195,34 +199,8 @@ def verify_jsonl(
     itself) is reported as the corrupt record at its 0-based index
     rather than raising.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise SafeguardError(
-            f"cannot read audit log {path}: {exc}"
-        ) from exc
-    events: list[AuditEvent] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    for index, line in enumerate(lines):
-        try:
-            events.append(AuditEvent.from_json(line))
-        except SafeguardError:
-            partial = verify_events(events)
-            if not partial.ok:  # an earlier record is the first error
-                return partial
-            return ChainVerification(
-                ok=False,
-                length=index,
-                tail_digest=partial.tail_digest,
-                error_index=index,
-                reason=(
-                    "record is no longer valid JSON — altered in "
-                    "place"
-                ),
-            )
     return verify_events(
-        events,
+        _read_log(path),
         expected_length=expected_length,
         expected_tail_digest=expected_tail_digest,
     )

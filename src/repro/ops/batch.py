@@ -184,11 +184,6 @@ def _batchable_operation(name: str) -> Operation:
     return operation
 
 
-def operation_check(name: str) -> None:
-    """Reject operations the batch surface does not admit."""
-    _batchable_operation(name)
-
-
 def _resolve_operations(
     requests: Sequence[BatchRequest],
 ) -> dict[str, Operation]:

@@ -26,11 +26,10 @@ batch summary reports.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 
+from .._util import blake2b_hex, canonical_json
 from ..observability import metrics
 from .spec import OpResponse
 
@@ -46,18 +45,16 @@ def cache_key(
     corpus digest)`` — key equality is exactly "same computation on
     the same data".
     """
-    canonical = json.dumps(
-        {
-            "corpus": corpus_digest,
-            "op": operation,
-            "request": dict(request),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    return blake2b_hex(
+        canonical_json(
+            {
+                "corpus": corpus_digest,
+                "op": operation,
+                "request": dict(request),
+            }
+        ),
+        16,
     )
-    return hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 class ResultCache:

@@ -476,7 +476,7 @@ def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
 
     try:
         text = Path(request["bundle"]).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SafeguardError(
             f"cannot read incident bundle "
             f"{request['bundle']!r}: {exc}"
@@ -504,7 +504,9 @@ def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
     ]
     if envelope.get("reason"):
         lines.append(f"reason: {envelope['reason']}")
-    for record in records[-request["tail"]:] if request["tail"] else []:
+    # Only the frames the chain verified: their shape is checked.
+    verified = records[: verification.length]
+    for record in verified[-request["tail"]:] if request["tail"] else []:
         frame = record["frame"]
         if frame["kind"] == "event":
             subject = (

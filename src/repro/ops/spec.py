@@ -21,6 +21,7 @@ import dataclasses
 import json
 from collections.abc import Callable, Iterator, Mapping
 
+from .._util import canonical_json
 from ..errors import OperationError
 
 __all__ = [
@@ -46,7 +47,7 @@ def emit_json(payload: Mapping | list) -> str:
 
 def emit_jsonl(payload: Mapping) -> str:
     """One compact, sorted JSON line (the batch executor's framing)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import Protocol
 
+from .._util import canonical_json
 from ..anonymization import IPAnonymizer, Pseudonymizer, TextScrubber
 from ..anonymization.ip import DEFAULT_CACHE_SIZE
 from ..errors import SafeguardError
@@ -287,9 +287,7 @@ class _SealRunner:
         self, chunk: list[dict], index: int
     ) -> tuple[list[dict], list[bytes], dict]:
         """Seal the chunk; emit the container as an artifact."""
-        plaintext = json.dumps(
-            chunk, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        plaintext = canonical_json(chunk).encode("utf-8")
         nonce_prf = self._nonce_proto.copy()
         nonce_prf.update(plaintext)
         sealed = self._container.seal(

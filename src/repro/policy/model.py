@@ -16,12 +16,12 @@ cached verdicts without a process restart.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from .._util import blake2b_hex, canonical_json
 from ..errors import PolicyError
 
 __all__ = [
@@ -65,16 +65,11 @@ def pack_digest(pack: Mapping[str, Any]) -> str:
     ops layer appends this to cache keys for pack-scoped operations.
     """
     try:
-        canonical = json.dumps(
-            pack, sort_keys=True, separators=(",", ":")
-        )
+        return blake2b_hex(canonical_json(pack), 16)
     except (TypeError, ValueError) as exc:
         raise PolicyError(
             f"policy pack is not JSON-serialisable: {exc}"
         ) from exc
-    return hashlib.blake2b(
-        canonical.encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 def load_pack(path: str | Path) -> dict:

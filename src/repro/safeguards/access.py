@@ -14,7 +14,7 @@ import hashlib
 from collections.abc import Iterator
 
 from ..errors import AccessDeniedError, SafeguardError
-from ..observability import audit_event
+from ..observability import GENESIS_DIGEST, audit_event, verify_events
 
 __all__ = ["Action", "Grant", "AuditRecord", "AuditLog",
            "AccessController"]
@@ -72,7 +72,7 @@ class AuditRecord:
 class AuditLog:
     """Append-only, hash-chained audit log."""
 
-    GENESIS = "0" * 64
+    GENESIS = GENESIS_DIGEST
 
     def __init__(self) -> None:
         self._records: list[AuditRecord] = []
@@ -118,17 +118,13 @@ class AuditLog:
         return len(self._records)
 
     def verify_chain(self) -> bool:
-        """True when no record has been altered or removed."""
-        previous = self.GENESIS
-        for index, record in enumerate(self._records):
-            if record.sequence != index:
-                return False
-            if record.previous_digest != previous:
-                return False
-            if record.compute_digest() != record.digest:
-                return False
-            previous = record.digest
-        return True
+        """True when no record has been altered or removed.
+
+        The walk is the audit trail's
+        (:func:`~repro.observability.verify_events`); only the record
+        digest (SHA-256 over the pipe-joined fields) differs.
+        """
+        return verify_events(self._records).ok
 
     def denials(self) -> tuple[AuditRecord, ...]:
         return tuple(r for r in self._records if not r.allowed)

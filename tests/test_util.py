@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro._util import (
+    blake2b_hex,
+    canonical_json,
     clamp,
     ensure_unique,
     oxford_join,
@@ -122,3 +128,66 @@ class TestNumericHelpers:
 
     def test_stable_sorted_plain(self):
         assert stable_sorted([3, 1, 2]) == [1, 2, 3]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+def _literal(node: ast.AST) -> object:
+    """The value of a literal expression, ``None`` for anything else."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+class TestCanonicalJson:
+    @given(_JSON_VALUES)
+    def test_matches_compact_sorted_dumps(self, value):
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_digest(self):
+        assert blake2b_hex("", 16) == "cae66941d9efbd404e4d88758ea67670"
+        assert len(blake2b_hex(canonical_json({"a": 1}), 32)) == 64
+
+    def test_only_util_spells_compact_json(self):
+        """No module but ``_util`` passes compact separators to json.
+
+        A second spelling of canonical JSON could drift from the one
+        every digest, chain and cache key depends on.
+        """
+        package = (
+            pathlib.Path(__file__).resolve().parent.parent
+            / "src"
+            / "repro"
+        )
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path.name == "_util.py" and path.parent == package:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = (
+                    node.func.attr
+                    if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", "")
+                )
+                if name not in ("dumps", "dump", "JSONEncoder"):
+                    continue
+                for keyword in node.keywords:
+                    if keyword.arg == "separators" and (
+                        _literal(keyword.value) == (",", ":")
+                    ):
+                        offenders.append(
+                            f"{path.relative_to(package)}:{node.lineno}"
+                        )
+        assert offenders == []
