@@ -1,4 +1,4 @@
-"""Staticcheck performance — cold, warm-cache and parallel lint.
+"""Staticcheck performance — cold and warm-cache lint.
 
 The lint gate runs inside every tier-1 test invocation and inside
 ``repro-ethics verify``, so it has a latency budget: a full cold lint
@@ -8,9 +8,7 @@ must stay under 2 seconds on this tree. The incremental cache is what
 keeps the gate honest as the package grows: a warm lint re-hashes
 file contents and serves findings without parsing, and the measured
 contract (asserted here, recorded in ``BENCH_staticcheck.json``) is a
->= 5x speedup with byte-identical findings. Parallel cold lint is
-recorded for reference — on a single-core container the process pool
-cannot win, but the number documents the fan-out overhead.
+>= 5x speedup with byte-identical findings.
 """
 
 from __future__ import annotations
@@ -34,15 +32,14 @@ RESULT_PATH = Path(__file__).parent.parent / "BENCH_staticcheck.json"
 MIN_WARM_SPEEDUP = 5.0
 
 
-def _lint(cache_path=None, workers=1):
-    engine = LintEngine(default_registry())
-    return engine.lint_package(
-        cache_path=cache_path, workers=workers
+def _lint(cache_path=None):
+    return LintEngine(default_registry()).lint_package(
+        cache_path=cache_path
     )
 
 
-def test_cold_warm_parallel_lint(tmp_path):
-    """Measure the three engine modes and write BENCH_staticcheck.json."""
+def test_cold_warm_lint(tmp_path):
+    """Measure cold and warm-cache lint; write BENCH_staticcheck.json."""
     cache = tmp_path / "lint-cache.json"
 
     start = time.perf_counter()
@@ -54,16 +51,8 @@ def test_cold_warm_parallel_lint(tmp_path):
     warm = _lint(cache_path=cache)
     warm_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    parallel = _lint(workers=4)
-    parallel_s = time.perf_counter() - start
-
     assert unsuppressed(cold) == []
-    assert (
-        render_json(cold)
-        == render_json(warm)
-        == render_json(parallel)
-    )
+    assert render_json(cold) == render_json(warm)
     speedup = cold_s / warm_s if warm_s else float("inf")
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm lint only {speedup:.1f}x faster than cold"
@@ -76,17 +65,13 @@ def test_cold_warm_parallel_lint(tmp_path):
         "lint": {
             "cold_s": round(cold_s, 4),
             "warm_cache_s": round(warm_s, 4),
-            "parallel_workers_4_s": round(parallel_s, 4),
             "warm_speedup": round(speedup, 1),
             "min_warm_speedup_asserted": MIN_WARM_SPEEDUP,
             "findings_byte_identical": True,
         },
         "note": (
             "warm lint re-hashes file contents and serves "
-            "content-addressed findings without parsing; parallel "
-            "timing is informational only — on a small tree (or a "
-            "single-core container) process-pool startup dominates "
-            "and the serial path wins."
+            "content-addressed findings without parsing."
         ),
     }
     RESULT_PATH.write_text(json.dumps(bench, indent=2) + "\n")

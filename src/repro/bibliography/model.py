@@ -91,10 +91,6 @@ class Reference:
             raise BibliographyError(f"reference [{self.number}] needs title")
 
     @property
-    def first_author(self) -> str:
-        return self.authors[0] if self.authors else ""
-
-    @property
     def is_peer_reviewed(self) -> bool:
         """Peer-reviewed in the loose sense used by the paper's Table 1.
 

@@ -289,11 +289,6 @@ class Corpus:
         """Entries the paper's §5.5 counts as papers (28 of 30)."""
         return self.filter(lambda e: e.is_paper)
 
-    def with_value(
-        self, dimension_id: str, value: CellValue
-    ) -> tuple[CaseStudyEntry, ...]:
-        return self.filter(lambda e: e.values.get(dimension_id) == value)
-
     def with_code(
         self, dimension_id: str, abbrev: str
     ) -> tuple[CaseStudyEntry, ...]:

@@ -103,9 +103,6 @@ class BooterDatabase:
     tickets: tuple[TicketMessage, ...]
     plans: tuple[PricingPlan, ...]
 
-    def attacks_by_user(self, user_id: int) -> tuple[AttackRecord, ...]:
-        return tuple(a for a in self.attacks if a.user_id == user_id)
-
     def revenue(self) -> float:
         return sum(p.amount_usd for p in self.payments)
 

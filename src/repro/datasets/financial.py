@@ -105,11 +105,6 @@ class OffshoreLeak:
     def public_figures(self) -> tuple[Officer, ...]:
         return tuple(o for o in self.officers if o.is_public_figure)
 
-    def implicated_market_cap(self) -> float:
-        return sum(
-            f.market_cap_musd for f in self.firms if f.implicated
-        )
-
 
 class OffshoreLeakGenerator(SeededGenerator):
     """Generate a leak whose incorporation series *responds to*

@@ -12,18 +12,22 @@ line carries the operation's structured payload plus the exact
 stdout the equivalent subcommand would have produced, so a batch run
 is a verifiable transcript of serial CLI invocations.
 
-The parallel path is **cache-aware** and **chunked** (see
-:mod:`repro.ops.pool`): the coordinator validates every distinct
+Every run executes one **cache-aware**, **chunked** dispatch plan
+(see :mod:`repro.ops.pool`): the coordinator validates every distinct
 operation once up front (an unknown op never spins up a worker),
 serves pure requests whose content address is already in its shared
 :class:`~repro.ops.cache.ResultCache` without touching the pool,
 groups the rest into contiguous per-worker chunks, and folds the
 ``(key, response)`` pairs each chunk computed back into the shared
 cache — so a pure result computed by worker A is a coordinator hit
-for worker B's identical request. With ``warm=True`` the pool, the
-coordinator context and the shared cache all persist across batch
-runs, which is what turns the old cold-start inversion (402 req/s at
-4 workers vs 2802 serial) into a strict win.
+for worker B's identical request. ``workers=1`` is the same plan with
+every request served locally: no chunk, no worker process. With
+``warm=True`` the pool, the coordinator context and the shared cache
+all persist across batch runs, which is what turns the old
+cold-start inversion (402 req/s at 4 workers vs 2802 serial) into a
+strict win. Every request, local or in a worker, is run and timed by
+one helper (:func:`_serve`), so the window series gets the same
+samples on every path.
 
 Observability mirrors the pipeline's cross-process design: when the
 coordinator runs an enabled observer, each worker request executes
@@ -208,10 +212,11 @@ def _run_one(
     """Execute one request; domain failures become failed lines.
 
     Emits the per-request audit bracket around the kernel call —
-    captured by the worker shard in parallel mode, chained inline in
-    serial mode — and never lets a :class:`ReproError` escape: the
-    failure maps through the kernel's error table into the line body,
-    so one bad request cannot abort the batch.
+    captured by the worker shard when a worker serves it, chained
+    inline when the coordinator does — and never lets a
+    :class:`ReproError` escape: the failure maps through the kernel's
+    error table into the line body, so one bad request cannot abort
+    the batch.
     """
     audit_event("ops", "request-started", subject=name, index=index)
     try:
@@ -315,32 +320,45 @@ def _logical_plan(requests: Sequence[BatchRequest]) -> dict:
     return plan
 
 
-def _cache_outcome(
-    cache: ResultCache | None, hits_before: int, misses_before: int
-) -> str | None:
-    """Classify one request's cache interaction from counter deltas."""
-    if cache is None:
-        return None
-    if cache.hits > hits_before:
-        return "hit"
-    if cache.misses > misses_before:
-        return "miss"
-    return None
+def _serve(
+    index: int, name: str, values: dict, ctx: RunContext
+) -> tuple[dict, float, str | None]:
+    """Run and measure one request: ``(line, latency, cache outcome)``.
+
+    The one place a batch request is timed and its cache interaction
+    classified (``"hit"``, ``"miss"`` or ``None``) from counter
+    deltas — coordinator-local serves and worker chunks both call it,
+    so the window series sees identical samples on every path.
+    """
+    cache = ctx.cache
+    hits = cache.hits if cache is not None else 0
+    misses = cache.misses if cache is not None else 0
+    started = time.perf_counter()
+    line = _run_one(index, name, values, ctx)
+    latency = time.perf_counter() - started
+    outcome = None
+    if cache is not None and cache.hits > hits:
+        outcome = "hit"
+    elif cache is not None and cache.misses > misses:
+        outcome = "miss"
+    return line, latency, outcome
 
 
 class BatchExecutor:
     """Streams batch requests through the kernel, in input order.
 
-    ``workers=1`` executes inline under the installed observer;
-    more workers fan requests out over a pool of pre-warmed worker
-    processes (:class:`~repro.ops.pool.WarmPool`) in contiguous
+    Every run goes through one dispatch plan on a
+    :class:`~repro.ops.pool.WarmPool`. More than one worker fans
+    requests out over pre-warmed worker processes in contiguous
     chunks, with cache-aware dispatch: pure requests whose content
     address is already in the coordinator's shared cache never reach
     the pool, and every chunk ships the pure results it computed
-    back for the coordinator to learn from. Results — and telemetry
-    shards — drain strictly in input order, so the JSONL transcript
-    and the audit-chain content are invariant under the worker
-    count, the chunk size and the dispatch plan.
+    back for the coordinator to learn from. ``workers=1`` is the
+    same plan with every request served locally, inline under the
+    installed observer, and no process spawned. Results — and
+    telemetry shards — drain strictly in input order, so the JSONL
+    transcript and the audit-chain content are invariant under the
+    worker count, the chunk size and the dispatch plan.
 
     ``warm=True`` reuses the process-lifetime pool (and its shared
     cache) registered for this configuration instead of building and
@@ -383,13 +401,15 @@ class BatchExecutor:
             workers=self.workers,
         )
         operations = _resolve_operations(requests)
+        pool = (
+            warm_pool(self.workers, self.use_cache)
+            if self.warm
+            else WarmPool(self.workers, use_cache=self.use_cache)
+        )
         try:
-            if self.workers == 1:
-                lines, cache_stats = self._run_serial(requests)
-            else:
-                lines, cache_stats = self._run_parallel(
-                    requests, operations
-                )
+            lines, cache_stats = self._dispatch(
+                pool, requests, operations
+            )
         except ReproError as exc:
             # Dump the ring unless a deeper layer (the warm pool's
             # worker-lost path) already captured this failure — one
@@ -404,6 +424,9 @@ class BatchExecutor:
                     workers=self.workers,
                 )
             raise
+        finally:
+            if not self.warm:
+                pool.shutdown()
         ok = sum(1 for line in lines if line["ok"])
         failed = len(lines) - ok
         if recorder is not None:
@@ -449,77 +472,6 @@ class BatchExecutor:
             return "warm" if self.warm else "run"
         return "shared-warm" if self.warm else "shared-run"
 
-    def _run_serial(
-        self, requests: Sequence[BatchRequest]
-    ) -> tuple[tuple[dict, ...], dict | None]:
-        """Inline execution under the installed observer."""
-        if self.warm:
-            # The workers=1 warm pool never spawns a process; it is
-            # purely the persistent coordinator context + cache.
-            ctx = warm_pool(1, self.use_cache).context
-        else:
-            ctx = RunContext(
-                cache=ResultCache() if self.use_cache else None
-            )
-        cache = ctx.cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        series = window_series()
-        if series is None:
-            lines = tuple(
-                _run_one(
-                    request.index, request.op, request.args, ctx
-                )
-                for request in requests
-            )
-        else:
-            collected: list[dict] = []
-            for request in requests:
-                run_hits = cache.hits if cache is not None else 0
-                run_misses = (
-                    cache.misses if cache is not None else 0
-                )
-                started = time.perf_counter()
-                line = _run_one(
-                    request.index, request.op, request.args, ctx
-                )
-                elapsed = time.perf_counter() - started
-                collected.append(line)
-                series.observe(
-                    RequestSample(
-                        ok=line["ok"],
-                        latency=elapsed,
-                        queue_depth=0,
-                        busy_workers=1,
-                        workers=1,
-                        cache=_cache_outcome(
-                            cache, run_hits, run_misses
-                        ),
-                    )
-                )
-            lines = tuple(collected)
-        stats = None
-        if cache is not None:
-            stats = _stats_delta(cache, hits_before, misses_before)
-        return lines, stats
-
-    def _run_parallel(
-        self,
-        requests: Sequence[BatchRequest],
-        operations: dict[str, Operation],
-    ) -> tuple[tuple[dict, ...], dict | None]:
-        """Cache-aware, chunked fan-out with strict in-order drain."""
-        pool = (
-            warm_pool(self.workers, self.use_cache)
-            if self.warm
-            else WarmPool(self.workers, use_cache=self.use_cache)
-        )
-        try:
-            return self._dispatch(pool, requests, operations)
-        finally:
-            if not self.warm:
-                pool.shutdown()
-
     def _plan(
         self,
         requests: Sequence[BatchRequest],
@@ -536,8 +488,11 @@ class BatchExecutor:
         scheduled on an earlier chunk of this run: the ordered drain
         guarantees the earlier chunk's results merge in before the
         duplicate is served. Everything else lands in chunk order on
-        the pool.
+        the pool. With one worker every request is local: no chunk is
+        built and no cache key computed.
         """
+        if self.workers == 1:
+            return [(_LOCAL, request, 0, 0) for request in requests], []
         cache = ctx.cache
         entries: list[tuple] = []
         pending: list[tuple[int, str | None]] = []
@@ -597,90 +552,76 @@ class BatchExecutor:
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         plan, chunks = self._plan(requests, operations, ctx)
-        drain = pool.map_requests(
-            chunks, get_observer().enabled, window=self.workers * 2
-        )
+        drain = None
+        if chunks:
+            drain = pool.map_requests(
+                chunks, get_observer().enabled, window=self.workers * 2
+            )
         drained = -1
         result: ChunkResult | None = None
         worker_hits = 0
         worker_misses = 0
         lines: list[dict] = []
         series = window_series()
-
-        def observe_line(
-            line: dict, latency: float, outcome: str | None
-        ) -> None:
-            if series is None:
-                return
-            series.observe(
-                RequestSample(
-                    ok=line["ok"],
-                    latency=latency,
-                    queue_depth=len(drain),
-                    busy_workers=min(len(drain), self.workers),
-                    workers=self.workers,
-                    cache=outcome,
-                )
-            )
-
         try:
             for kind, request, chunk_id, position in plan:
                 if kind == _LOCAL:
-                    local_hits = cache.hits if cache is not None else 0
-                    local_misses = (
-                        cache.misses if cache is not None else 0
+                    line, latency, outcome = _serve(
+                        request.index, request.op, request.args, ctx
                     )
-                    started = time.perf_counter()
-                    line = _run_one(
-                        request.index,
-                        request.op,
-                        request.args,
-                        ctx,
-                    )
-                    lines.append(line)
-                    observe_line(
-                        line,
-                        time.perf_counter() - started,
-                        _cache_outcome(cache, local_hits, local_misses),
-                    )
-                    continue
-                # Plan entries name chunks in submission order, so the
-                # drain reaches this one after merging every earlier
-                # chunk's pure results into the shared cache.
-                while drained < chunk_id:
-                    result = next(drain)
-                    if cache is not None:
-                        cache.merge(result.pairs)
-                    worker_hits += result.hits
-                    worker_misses += result.misses
-                    drained += 1
-                shard = result.shards[position]
-                if shard is not None:
-                    replay_shard(shard)
-                line = result.lines[position]
+                else:
+                    # Plan entries name chunks in submission order, so
+                    # the drain reaches this one after merging every
+                    # earlier chunk's pure results into the cache.
+                    while drained < chunk_id:
+                        result = next(drain)
+                        if cache is not None:
+                            cache.merge(result.pairs)
+                        worker_hits += result.hits
+                        worker_misses += result.misses
+                        drained += 1
+                    shard = result.shards[position]
+                    if shard is not None:
+                        replay_shard(shard)
+                    line = result.lines[position]
+                    # Measured in the worker around the request itself,
+                    # so queue wait is not charged to the request.
+                    latency, outcome = result.samples[position]
                 lines.append(line)
-                # Latency and cache outcome were measured in the worker
-                # around the request itself, so queue wait is not
-                # charged to the request.
-                observe_line(line, *result.samples[position])
+                if series is None:
+                    continue
+                depth = len(drain) if drain is not None else 0
+                series.observe(
+                    RequestSample(
+                        ok=line["ok"],
+                        latency=latency,
+                        queue_depth=depth,
+                        # A serial run's one worker is the coordinator,
+                        # busy serving this very request.
+                        busy_workers=(
+                            min(depth, self.workers)
+                            if self.workers > 1
+                            else 1
+                        ),
+                        workers=self.workers,
+                        cache=outcome,
+                    )
+                )
         finally:
-            drain.close()
-        stats = None
-        if cache is not None:
-            coordinator = _stats_delta(
-                cache, hits_before, misses_before
-            )
-            stats = {
-                "coordinator": coordinator,
-                "entries": coordinator["entries"],
-                "hits": coordinator["hits"] + worker_hits,
-                "misses": coordinator["misses"] + worker_misses,
-                "workers": {
-                    "hits": worker_hits,
-                    "misses": worker_misses,
-                },
-            }
-        return tuple(lines), stats
+            if drain is not None:
+                drain.close()
+        if cache is None:
+            return tuple(lines), None
+        coordinator = _stats_delta(cache, hits_before, misses_before)
+        if self.workers == 1:
+            return tuple(lines), coordinator
+        return tuple(lines), {
+            "coordinator": coordinator,
+            "entries": coordinator["entries"],
+            "hits": coordinator["hits"] + worker_hits,
+            "misses": coordinator["misses"] + worker_misses,
+            "workers": {"hits": worker_hits, "misses": worker_misses},
+        }
 
 
 def _run_batch(request: dict, ctx: RunContext) -> OpResponse:

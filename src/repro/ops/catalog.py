@@ -161,14 +161,11 @@ def _run_lint(request: dict, ctx: RunContext) -> OpResponse:
         registry = lint_registry()
         if select:
             registry = registry.select(select)
-        findings = LintEngine(registry).lint_package(
-            request["path"], workers=request["jobs"]
-        )
+        findings = LintEngine(registry).lint_package(request["path"])
     else:
         findings = lint_repo(
             select,
             incremental=not request["no_cache"],
-            workers=request["jobs"],
             changed_only=request["changed"],
         )
     if request["format"] == "json":
@@ -835,15 +832,6 @@ def _operations() -> tuple[Operation, ...]:
                         "differs from the incremental lint cache "
                         "(whole-program rules rerun when any byte "
                         "of the tree moved)"
-                    ),
-                ),
-                Arg(
-                    "--jobs",
-                    kind=int,
-                    default=1,
-                    help=(
-                        "fan cold files out to this many lint "
-                        "worker processes"
                     ),
                 ),
                 Arg(

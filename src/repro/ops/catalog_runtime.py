@@ -13,15 +13,11 @@ from __future__ import annotations
 
 import json
 
+from .catalog import _text
 from .context import RunContext
 from .spec import Arg, Operation, OpResponse, emit_json
 
 __all__ = ["runtime_operations"]
-
-
-def _text(lines: list[str]) -> str:
-    """Join print-style lines into exact stdout bytes."""
-    return "".join(line + "\n" for line in lines)
 
 
 def _demo_stages_and_source(

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
-import time
 from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import BrokenExecutor
@@ -150,18 +149,18 @@ def _execute_chunk(
 
     *chunk* is a tuple of ``(index, op, args, key)`` entries, where
     *key* is the cache key the coordinator's plan computed for a pure
-    request (``None`` otherwise). Each request executes through the
-    same :func:`~repro.ops.batch._run_one` path a serial run uses,
-    under its own :class:`~repro.observability.worker.TelemetryShard`
-    when the coordinator observes, so per-request audit brackets
-    replay in exact submission order. Each request's latency and
-    cache outcome are measured here, where the request ran, so the
-    coordinator's window series sees the same samples a serial run
-    records. Successful pure results are exported as ``(key,
-    response)`` pairs for the coordinator cache, looked up under the
-    planned key rather than hashed again.
+    request (``None`` otherwise). Each request is run and measured by
+    the same :func:`~repro.ops.batch._serve` a coordinator-local
+    serve uses, under its own
+    :class:`~repro.observability.worker.TelemetryShard` when the
+    coordinator observes, so per-request audit brackets replay in
+    exact submission order and the window series gets the latency
+    and cache outcome measured where the request ran. Successful pure
+    results are exported as ``(key, response)`` pairs for the
+    coordinator cache, looked up under the planned key rather than
+    hashed again.
     """
-    from .batch import _cache_outcome, _run_one, _worker_context
+    from .batch import _serve, _worker_context
 
     ctx = _worker_context(use_cache)
     cache = ctx.cache
@@ -172,22 +171,14 @@ def _execute_chunk(
     samples: list[tuple[float, str | None]] = []
     pairs: list[tuple[str, object]] = []
     for index, name, values, key in chunk:
-        hits = cache.hits if cache is not None else 0
-        misses = cache.misses if cache is not None else 0
-        started = time.perf_counter()
         if telemetry:
             with TelemetryShard() as shard:
-                line = _run_one(index, name, values, ctx)
+                line, latency, outcome = _serve(index, name, values, ctx)
             shards.append(shard.telemetry())
         else:
-            line = _run_one(index, name, values, ctx)
+            line, latency, outcome = _serve(index, name, values, ctx)
             shards.append(None)
-        samples.append(
-            (
-                time.perf_counter() - started,
-                _cache_outcome(cache, hits, misses),
-            )
-        )
+        samples.append((latency, outcome))
         lines.append(line)
         if cache is None or key is None or not line["ok"]:
             continue

@@ -43,7 +43,6 @@ summed, and cache-occupancy gauges merge by maximum.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from collections.abc import Iterable, Iterator
 
@@ -185,10 +184,6 @@ class PipelineResult:
     records: list[dict]
     artifacts: list[bytes]
     metrics: dict
-
-    def metrics_json(self, indent: int | None = 2) -> str:
-        """The metrics dict rendered as JSON (the CLI's output)."""
-        return json.dumps(self.metrics, indent=indent, sort_keys=True)
 
 
 class SafeguardPipeline:

@@ -78,6 +78,8 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 
 def _xor(data: bytes, stream: bytes) -> bytes:
     """Whole-integer XOR (C-speed; the per-byte loop was the hot spot)."""
+    # ``int.from_bytes(b"")`` is 0 and ``(0).to_bytes(0)`` is empty, so
+    # zero-length plaintexts need no branch.
     length = len(data)
     return (
         int.from_bytes(data, "little")
@@ -252,8 +254,3 @@ class StoragePolicy:
     @property
     def conformant(self) -> bool:
         return not self.violations()
-
-
-def _empty_xor_guard() -> None:  # pragma: no cover - documentation
-    """``int.from_bytes(b"")`` is 0 and ``(0).to_bytes(0)`` is empty,
-    so :func:`_xor` handles zero-length plaintexts without a branch."""

@@ -48,9 +48,8 @@ lints are near-instant and ``repro-ethics lint --changed`` reports
 only what a change could have affected.
 
 Run it as ``repro-ethics lint`` (text or JSON output, rule selection
-via ``--select``, ``--changed``/``--jobs``/``--no-cache`` for the
-incremental machinery); ``repro-ethics verify`` includes the same
-gate.
+via ``--select``, ``--changed``/``--no-cache`` for the incremental
+machinery); ``repro-ethics verify`` includes the same gate.
 """
 
 from .baseline import BASELINE, BaselineEntry, baseline_drift
@@ -118,7 +117,6 @@ def lint_repo(
     *,
     with_baseline: bool = True,
     incremental: bool = True,
-    workers: int = 1,
     changed_only: bool = False,
 ) -> list[Finding]:
     """Lint the installed ``repro`` package with the default rules.
@@ -130,12 +128,12 @@ def lint_repo(
     *incremental* reuses content-addressed findings from the repo
     cache (:func:`default_cache_path`) — only when the full rule set
     runs, so a ``--select`` subset never clobbers the full-run cache.
-    *workers* fans cold files out to a process pool. *changed_only*
-    limits output to files whose digest moved since the cached run
-    (the ``lint --changed`` fast path); stale-baseline drift is not
-    judged then, since unchanged files are not re-examined. A
-    ``--select`` subset judges staleness only for entries whose rule
-    ran — a skipped rule cannot prove its exceptions fixed.
+    *changed_only* limits output to files whose digest moved since
+    the cached run (the ``lint --changed`` fast path); stale-baseline
+    drift is not judged then, since unchanged files are not
+    re-examined. A ``--select`` subset judges staleness only for
+    entries whose rule ran — a skipped rule cannot prove its
+    exceptions fixed.
     """
     registry = default_registry()
     if select:
@@ -145,7 +143,6 @@ def lint_repo(
     )
     findings = LintEngine(registry).lint_package(
         cache_path=cache_path,
-        workers=workers,
         changed_only=changed_only,
     )
     if with_baseline:

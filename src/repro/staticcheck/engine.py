@@ -399,7 +399,6 @@ class LintEngine:
         root: Path | None = None,
         *,
         cache_path: Path | None = None,
-        workers: int = 1,
         changed_only: bool = False,
     ) -> list[Finding]:
         """Lint every ``.py`` file under *root* (default: ``repro``).
@@ -414,12 +413,9 @@ class LintEngine:
         *cache_path* enables the content-addressed incremental cache:
         files whose digest matches the cache are served without being
         parsed, and whole-program findings are reused while no byte
-        of the tree changed. *workers* > 1 fans files that do need
-        linting out to a process pool (falling back to serial when
-        the registry holds rules a worker cannot reconstruct from the
-        default set). *changed_only* reports per-file findings only
-        for files that missed the cache — plus whole-program findings
-        whenever the project graph changed.
+        of the tree changed. *changed_only* reports per-file findings
+        only for files that missed the cache — plus whole-program
+        findings whenever the project graph changed.
         """
         explicit_root = root is not None
         root = Path(root) if explicit_root else package_root()
@@ -477,25 +473,11 @@ class LintEngine:
             else:
                 stale.append(relpath)
 
-        if stale:
-            parallel = (
-                workers > 1
-                and len(stale) > 1
-                and self._parallel_safe()
-            )
-            if parallel:
-                for relpath, found in self._lint_parallel(
-                    entries, stale, workers
-                ):
-                    module_findings[relpath] = found
-            else:
-                for relpath in stale:
-                    display, source, _ = entries[relpath]
-                    module = ModuleInfo(source, relpath, display)
-                    modules[relpath] = module
-                    module_findings[relpath] = self._lint_module(
-                        module
-                    )
+        for relpath in stale:
+            display, source, _ = entries[relpath]
+            module = ModuleInfo(source, relpath, display)
+            modules[relpath] = module
+            module_findings[relpath] = self._lint_module(module)
 
         # Whole-program findings, keyed on every file's digest plus
         # the rule-set signature (via the cache file's guard).
@@ -560,64 +542,6 @@ class LintEngine:
             findings.extend(project_findings)
         findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
         return findings
-
-    def _parallel_safe(self) -> bool:
-        """Whether workers can rebuild this registry from rule ids."""
-        defaults = {
-            rule.id: type(rule) for rule in default_registry()
-        }
-        return all(
-            defaults.get(rule.id) is type(rule)
-            for rule in self.registry
-        )
-
-    def _lint_parallel(
-        self,
-        entries: dict[str, tuple[str, str, str]],
-        stale: list[str],
-        workers: int,
-    ) -> list[tuple[str, list[Finding]]]:
-        """Fan per-module linting of *stale* out to a process pool."""
-        import concurrent.futures
-
-        rule_ids = self.registry.rule_ids
-        chunks: list[list[tuple[str, str, str]]] = [
-            [] for _ in range(min(workers, len(stale)))
-        ]
-        for index, relpath in enumerate(stale):
-            display, source, _ = entries[relpath]
-            chunks[index % len(chunks)].append(
-                (relpath, display, source)
-            )
-        results: list[tuple[str, list[Finding]]] = []
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(chunks)
-        ) as pool:
-            futures = [
-                pool.submit(_lint_chunk, rule_ids, chunk)
-                for chunk in chunks
-            ]
-            for future in futures:
-                results.extend(future.result())
-        return results
-
-
-def _lint_chunk(
-    rule_ids: tuple[str, ...],
-    chunk: list[tuple[str, str, str]],
-) -> list[tuple[str, list[Finding]]]:
-    """Process-pool worker: lint a batch of (relpath, display, source).
-
-    Module-level and picklable by construction (R9's own contract):
-    the registry is rebuilt in-process from rule ids, sources travel
-    by value, and frozen :class:`Finding` instances travel back.
-    """
-    engine = LintEngine(default_registry().select(rule_ids))
-    results: list[tuple[str, list[Finding]]] = []
-    for relpath, display, source in chunk:
-        module = ModuleInfo(source, relpath, display)
-        results.append((relpath, engine._lint_module(module)))
-    return results
 
 
 def unsuppressed(findings: Iterable[Finding]) -> list[Finding]:

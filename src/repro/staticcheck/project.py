@@ -179,10 +179,6 @@ class Project:
         """The module at package-relative *relpath*, if linted."""
         return self._by_relpath.get(relpath)
 
-    def file_digest(self, relpath: str) -> str | None:
-        """The content digest of one linted file."""
-        return self._file_digests.get(relpath)
-
     @property
     def digest(self) -> str:
         """Content digest over every (relpath, file digest) pair.

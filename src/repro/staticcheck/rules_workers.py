@@ -2,15 +2,14 @@
 
 The batch executor (``ops/batch.py``) and the pipeline fan-out
 (``pipeline/core.py``) ship work to warm-pool workers through
-``WarmPool.map_ordered``; the parallel lint ships its own to a
-``ProcessPoolExecutor``. Everything that crosses that
-boundary is pickled, and the failure modes are nasty precisely
-because they are *not* local: a lambda or bound method raises
-``PicklingError`` only when the pool is first exercised, and a
-worker function that closes over shared mutable state silently
-computes against a stale copy in the child process. R9 turns the
-implicit contract into a checked one — every callable handed to a
-process pool must be:
+``WarmPool.map_ordered``, the only way work reaches a process pool.
+Everything that crosses that boundary is pickled, and the failure
+modes are nasty precisely because they are *not* local: a lambda or
+bound method raises ``PicklingError`` only when the pool is first
+exercised, and a worker function that closes over shared mutable
+state silently computes against a stale copy in the child process.
+R9 turns the implicit contract into a checked one — every callable
+handed to a process pool must be:
 
 * a **module-level function** (or class) resolvable through the
   project symbol table or an import — the shapes pickle serialises

@@ -216,11 +216,27 @@ class TestSharedCache:
         assert second.summary["cache"]["misses"] == 0
         assert second.summary["cache"]["hits"] == len(requests)
         assert second.text() == first.text()
+        # Serial runs go through the one-worker pool's dispatch plan,
+        # which serves everything locally and never builds an executor.
+        assert warm_pool(1, True).live is False
 
 
 class TestPoolPathSamples:
+    # Per worker count: (queue_depth_max, queue_depth_mean,
+    # worker_utilization). A serial run serves every request on the
+    # coordinator, its one busy worker, with nothing queued. At two
+    # workers, one request per chunk and a four-chunk submit window,
+    # the in-flight depth at each request's drain is 4, 3, 2, 2 (the
+    # local duplicate), 1, 0, and busy workers are that depth capped
+    # at two.
+    EXPECTED_WINDOW = {
+        1: (0, 0.0, 1.0),
+        2: (4, 2.0, 0.75),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_served_requests_report_worker_latency(
-        self, requests_file
+        self, requests_file, workers
     ):
         """The window series sees a latency for every request, pool
         or local, so latency objectives can gate parallel runs."""
@@ -229,15 +245,22 @@ class TestPoolPathSamples:
         requests = load_requests(requests_file)
         series = WindowSeries(window_size=len(requests))
         with observed(Observer().attach(windows=series)):
-            result = BatchExecutor(workers=2, chunk_size=1).run(
-                requests
-            )
+            result = BatchExecutor(
+                workers=workers, chunk_size=1
+            ).run(requests)
         (window,) = series.windows()
+        measurements = window.measurements()
         assert window.latency.count == len(requests)
-        assert window.measurements()["latency_p99_seconds"] > 0
-        # Five distinct pure requests miss in workers; the duplicate
-        # table1 is a coordinator hit.
-        assert window.measurements()["cache_hit_rate"] == round(1 / 6, 6)
+        assert measurements["latency_p99_seconds"] > 0
+        # Five distinct pure requests miss (in workers when pooled);
+        # the duplicate table1 is a coordinator hit.
+        assert measurements["cache_hit_rate"] == round(1 / 6, 6)
+        depth_max, depth_mean, utilization = self.EXPECTED_WINDOW[
+            workers
+        ]
+        assert measurements["queue_depth_max"] == depth_max
+        assert measurements["queue_depth_mean"] == depth_mean
+        assert measurements["worker_utilization"] == utilization
         assert result.summary["ok"] == len(requests)
 
 

@@ -478,23 +478,6 @@ class TestIncrementalCache:
         assert "datasets/gen.py" not in payload["modules"]
 
 
-class TestParallelLint:
-    def test_parallel_matches_serial(self, tmp_path):
-        files = {
-            f"datasets/mod_{i}.py": (
-                "import random\n"
-                f"def draw_{i}():\n"
-                "    return random.random()\n"
-            )
-            for i in range(6)
-        }
-        build_tree(tmp_path, files)
-        serial = lint_tree(tmp_path, select=())
-        parallel = lint_tree(tmp_path, select=(), workers=2)
-        assert render_json(serial) == render_json(parallel)
-        assert len(serial) == 6
-
-
 class TestBaselineStaleSwitch:
     def test_stale_direction_can_be_disabled(self):
         from repro.staticcheck import BaselineEntry
