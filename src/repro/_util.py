@@ -11,6 +11,7 @@ import json
 import re
 import unicodedata
 from collections.abc import Iterable, Sequence
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -22,6 +23,17 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 #: system writes goes through it, so their bytes agree by construction.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+#: That encoder's C core, built once: ``JSONEncoder.encode`` builds a
+#: fresh one per call, which costs more than encoding a small record.
+#: The arguments are the ones it passes (markers, default, string
+#: encoder, indent, separators, sort_keys, skipkeys, allow_nan), less
+#: the circular-reference markers: a self-containing value raises
+#: RecursionError instead of ValueError.
+_ENCODE = c_make_encoder(
+    None, _CANONICAL.default, encode_basestring_ascii, None,
+    ":", ",", True, False, True,
+)
+
 
 def canonical_json(obj: object) -> str:
     """Compact, key-sorted JSON text of *obj* (one line).
@@ -29,7 +41,7 @@ def canonical_json(obj: object) -> str:
     >>> canonical_json({"b": [1, 2], "a": "x"})
     '{"a":"x","b":[1,2]}'
     """
-    return _CANONICAL.encode(obj)
+    return "".join(_ENCODE(obj, 0))
 
 
 def blake2b_hex(text: str, digest_size: int) -> str:

@@ -50,7 +50,7 @@ egress; see ``docs/observability.md`` for the event schema, the
 chain-verification semantics and the export formats.
 """
 
-from .events import GENESIS_DIGEST, AuditEvent, event_digest
+from .events import GENESIS_DIGEST, AuditEvent, encode_event
 from .flight import (
     FlightRecorder,
     IncidentBundle,
@@ -131,8 +131,8 @@ __all__ = [
     "WindowSeries",
     "WorkerTelemetry",
     "audit_event",
+    "encode_event",
     "evaluate_slo",
-    "event_digest",
     "flight_recorder",
     "get_observer",
     "load_bundle_text",

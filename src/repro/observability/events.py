@@ -26,7 +26,7 @@ import json
 from .._util import blake2b_hex, canonical_json
 from ..errors import SafeguardError
 
-__all__ = ["AuditEvent", "GENESIS_DIGEST", "event_digest"]
+__all__ = ["AuditEvent", "GENESIS_DIGEST", "encode_event"]
 
 #: The ``previous_digest`` of the first event in a chain.
 GENESIS_DIGEST = "0" * 64
@@ -46,13 +46,40 @@ _FIELD_TYPES: dict[str, type] = {
 _TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object"}
 
 
-def event_digest(payload: dict) -> str:
-    """BLAKE2b-256 hex digest of an event payload dict.
+def encode_event(
+    sequence: int,
+    category: str,
+    action: str,
+    subject: str,
+    detail: dict,
+    previous_digest: str,
+    digest: str | None = None,
+) -> tuple[str, str]:
+    """``(digest, JSONL line)`` of one event, encoding it once.
 
-    The payload must already contain ``previous_digest``; the chain
-    property comes from hashing it together with the event content.
+    The canonical JSON of a record sorts ``digest`` between
+    ``detail`` and ``previous_digest``, so the payload splits into a
+    head (``action``, ``category``, ``detail``) and a tail
+    (``previous_digest``, ``sequence``, ``subject``) encoded one time
+    each: the digest pre-image is ``head,tail`` and the line is the
+    same two halves with the digest spliced between them —
+    byte-identical to ``canonical_json`` of the whole record. Pass
+    *digest* to write a stored (possibly stale) digest instead of
+    the recomputed one.
     """
-    return blake2b_hex(canonical_json(payload), _DIGEST_SIZE)
+    head = canonical_json(
+        {"action": action, "category": category, "detail": detail}
+    )[:-1]
+    tail = canonical_json(
+        {
+            "previous_digest": previous_digest,
+            "sequence": sequence,
+            "subject": subject,
+        }
+    )[1:]
+    if digest is None:
+        digest = blake2b_hex(f"{head},{tail}", _DIGEST_SIZE)
+    return digest, f'{head},"digest":"{digest}",{tail}'
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,30 +102,28 @@ class AuditEvent:
     previous_digest: str = GENESIS_DIGEST
     digest: str = ""
 
-    def payload(self) -> dict:
-        """The digest pre-image: every field except ``digest``."""
-        return {
-            "sequence": self.sequence,
-            "category": self.category,
-            "action": self.action,
-            "subject": self.subject,
-            "detail": self.detail,
-            "previous_digest": self.previous_digest,
-        }
+    def _encode(self, digest: str | None = None) -> tuple[str, str]:
+        return encode_event(
+            self.sequence,
+            self.category,
+            self.action,
+            self.subject,
+            self.detail,
+            self.previous_digest,
+            digest,
+        )
 
     def compute_digest(self) -> str:
         """Recompute this event's digest from its payload."""
-        return event_digest(self.payload())
+        return self._encode()[0]
 
     def sealed(self) -> "AuditEvent":
         """A copy with ``digest`` filled in from the payload."""
         return dataclasses.replace(self, digest=self.compute_digest())
 
     def to_json(self) -> str:
-        """One canonical JSONL line (payload plus digest)."""
-        record = self.payload()
-        record["digest"] = self.digest
-        return canonical_json(record)
+        """One canonical JSONL line (payload plus stored digest)."""
+        return self._encode(self.digest)[1]
 
     @classmethod
     def from_json(cls, line: str) -> "AuditEvent":

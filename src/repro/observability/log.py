@@ -2,10 +2,12 @@
 
 :class:`AuditTrail` accumulates hash-chained
 :class:`~repro.observability.events.AuditEvent` records in memory
-and, when given a path, mirrors each one as a JSONL line the moment
-it is appended — the on-disk log is therefore always a prefix of the
-in-memory chain and can be inspected (or verified) while the process
-is still running.
+and, when given a path, mirrors them as JSONL lines written in
+blocks of :data:`BLOCK_LINES` whole lines (and on
+:meth:`~AuditTrail.close`). The on-disk log is therefore always a
+whole-line, verifiable prefix of the in-memory chain that can be
+inspected while the process is still running; it lags the chain by
+at most one unwritten block, which is also the most a crash loses.
 
 Verification (:func:`verify_events` / :func:`verify_jsonl`) walks the
 chain once and reports a :class:`ChainVerification` that **localizes
@@ -32,15 +34,19 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from ..errors import SafeguardError
-from .events import GENESIS_DIGEST, AuditEvent
+from .events import GENESIS_DIGEST, AuditEvent, encode_event
 
 __all__ = [
     "AuditTrail",
+    "BLOCK_LINES",
     "ChainVerification",
     "load_events",
     "verify_events",
     "verify_jsonl",
 ]
+
+#: Lines a path-backed trail buffers before writing them as one block.
+BLOCK_LINES = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,16 +215,21 @@ def verify_jsonl(
 class AuditTrail:
     """Append-only, hash-chained audit trail with optional JSONL sink.
 
-    With a ``path`` every appended event is immediately written and
-    flushed as one JSONL line, so the on-disk log is always a prefix
-    of the in-memory chain. The trail never stores wall time — see
-    :mod:`repro.observability.events` for why.
+    With a ``path`` appended events are buffered as encoded JSONL
+    lines and written (then flushed) as one block every
+    :data:`BLOCK_LINES` events and on :meth:`close`, so the on-disk
+    log is always a whole-line prefix of the in-memory chain that
+    verifies on its own, lagging it by at most one block. Each event
+    is encoded once (:func:`~repro.observability.events.encode_event`)
+    for both its digest and its line. The trail never stores wall
+    time — see :mod:`repro.observability.events` for why.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._events: list[AuditEvent] = []
         self._path = Path(path) if path is not None else None
         self._sink = None
+        self._pending: list[str] = []
         if self._path is not None:
             try:
                 self._sink = self._path.open(
@@ -242,24 +253,26 @@ class AuditTrail:
         **detail: object,
     ) -> AuditEvent:
         """Append one chained event; returns the sealed record."""
-        previous = (
-            self._events[-1].digest
-            if self._events
-            else GENESIS_DIGEST
+        sequence = len(self._events)
+        previous = self.tail_digest
+        digest, line = encode_event(
+            sequence, category, action, subject, detail, previous
         )
         event = AuditEvent(
-            sequence=len(self._events),
-            category=category,
-            action=action,
-            subject=subject,
-            detail=dict(detail),
-            previous_digest=previous,
-        ).sealed()
+            sequence, category, action, subject, detail, previous, digest
+        )
         self._events.append(event)
         if self._sink is not None:
-            self._sink.write(event.to_json() + "\n")
-            self._sink.flush()
+            self._pending.append(line)
+            if len(self._pending) >= BLOCK_LINES:
+                self._write_block()
         return event
+
+    def _write_block(self) -> None:
+        """Write every buffered line as one block and flush it."""
+        self._sink.write("\n".join(self._pending) + "\n")
+        self._sink.flush()
+        self._pending = []
 
     def __iter__(self) -> Iterator[AuditEvent]:
         return iter(self._events)
@@ -287,8 +300,14 @@ class AuditTrail:
         return verify_events(self._events)
 
     def close(self) -> None:
-        """Close the JSONL sink, if any; the trail stays readable."""
+        """Write the buffered block and close the JSONL sink, if any.
+
+        After this the on-disk log holds the whole chain; the trail
+        stays readable in memory.
+        """
         if self._sink is not None:
+            if self._pending:
+                self._write_block()
             self._sink.close()
             self._sink = None
 

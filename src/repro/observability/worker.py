@@ -31,12 +31,16 @@ chain *content* is identical for ``workers=1`` and ``workers=N``
 run-started event). Shards are clock-free — timings live only in the
 span records and metric snapshots, which are not chained.
 
-The ops warm pool (:mod:`repro.ops.pool`) shards at a finer grain:
-a worker chunk carries **one shard per request**, shipped alongside
-the chunk result, so the batch coordinator can interleave replays
-with the audit brackets it emits inline for coordinator-served
-cache hits — the chain content stays invariant not just under the
-worker count but under the cache-aware dispatch plan itself.
+The ops warm pool (:mod:`repro.ops.pool`) opens the same one
+capture per chunk but ships it **one shard per request**: after each
+request :meth:`~TelemetryShard.cut` packs that request's events and
+spans, and the chunk's last request carries the one metrics snapshot
+(:meth:`~TelemetryShard.telemetry`). The batch coordinator can thus
+interleave replays with the audit brackets it emits inline for
+coordinator-served cache hits, so the chain content stays invariant
+under the cache-aware dispatch plan too; the merged registry is the
+same as with a snapshot per request, because registry merges are
+commutative.
 """
 
 from __future__ import annotations
@@ -94,10 +98,12 @@ class _ShardTrail:
 class TelemetryShard:
     """Worker-side observer bootstrap for one chunk.
 
-    Use as a context manager around the chunk's stage applications:
-    entering installs a capture observer (shard trail + chunk-local
-    registry + tracer), exiting restores whatever was installed
-    before. :meth:`telemetry` packs the capture for shipment.
+    Use as a context manager around the chunk's work: entering
+    installs a capture observer (shard trail + chunk-local registry
+    + tracer), exiting restores whatever was installed before.
+    :meth:`cut` packs the events and spans captured since the last
+    cut; :meth:`telemetry` packs the rest together with the chunk's
+    metrics snapshot — the whole capture when nothing was cut.
     """
 
     def __init__(self) -> None:
@@ -110,6 +116,7 @@ class TelemetryShard:
             tracer=self._tracer,
         )
         self._previous: Observer | None = None
+        self._spans_cut = 0
 
     def __enter__(self) -> "TelemetryShard":
         self._previous = set_observer(self._observer)
@@ -119,28 +126,39 @@ class TelemetryShard:
         set_observer(self._previous)
         self._previous = None
 
+    def cut(self) -> WorkerTelemetry:
+        """The events and spans captured since the previous cut.
+
+        Carries no metrics: the registry is snapshotted once, by
+        :meth:`telemetry`, for the whole capture.
+        """
+        events = tuple(self._trail.events)
+        self._trail.events.clear()
+        finished = self._tracer.finished
+        spans = tuple(
+            (record.name, record.depth, record.seconds)
+            for record in finished[self._spans_cut :]
+        )
+        self._spans_cut = len(finished)
+        return WorkerTelemetry(events=events, spans=spans)
+
     def telemetry(self) -> WorkerTelemetry:
-        """The captured shard, packed as a picklable value object."""
-        return WorkerTelemetry(
-            events=tuple(self._trail.events),
-            spans=tuple(
-                (record.name, record.depth, record.seconds)
-                for record in self._tracer.finished
-            ),
-            metrics=self._registry.snapshot(),
+        """The final cut plus the capture's metrics snapshot."""
+        return dataclasses.replace(
+            self.cut(), metrics=self._registry.snapshot()
         )
 
 
 def replay_shard(shard: WorkerTelemetry) -> None:
     """Fold one worker shard into the observer installed here.
 
-    Called by the pipeline coordinator while draining chunk results
-    **in chunk order**: events re-emit through the parent trail
-    (which assigns sequence numbers and digests, keeping the chain
-    single-writer), spans are absorbed into the parent tracer, and
-    the metric snapshot merges into the parent registry. A disabled
-    observer makes this a no-op, mirroring the disabled
-    :func:`~repro.observability.runtime.audit_event` path.
+    Called by the pipeline and batch coordinators while draining
+    chunk results **in input order**: events re-emit through the
+    parent trail (which assigns sequence numbers and digests,
+    keeping the chain single-writer), spans are absorbed into the
+    parent tracer, and the metric snapshot merges into the parent
+    registry. A disabled observer makes this a no-op, mirroring the
+    disabled :func:`~repro.observability.runtime.audit_event` path.
     """
     observer = get_observer()
     if not observer.enabled:
@@ -159,5 +177,6 @@ def replay_shard(shard: WorkerTelemetry) -> None:
             SpanRecord(name, depth, seconds)
             for name, depth, seconds in shard.spans
         )
-    if observer.metrics.enabled:
+    if observer.metrics.enabled and shard.metrics:
+        # Only a chunk's final cut carries its metrics snapshot.
         observer.metrics.merge(shard.metrics)

@@ -30,13 +30,16 @@ one helper (:func:`_serve`), so the window series gets the same
 samples on every path.
 
 Observability mirrors the pipeline's cross-process design: when the
-coordinator runs an enabled observer, each worker request executes
-under a :class:`~repro.observability.worker.TelemetryShard` whose
-captured events (``ops/request-started``, ``ops/request-completed``
-or ``ops/request-failed``) replay into the coordinator's single-
-writer chain in input order — coordinator-served cache hits emit the
-same bracket inline, so the chain content stays invariant under both
-the worker count and the dispatch plan.
+coordinator runs an enabled observer, each worker chunk executes
+under one :class:`~repro.observability.worker.TelemetryShard`, cut
+into one shard per request, whose captured events
+(``ops/request-started``, ``ops/request-completed`` or
+``ops/request-failed``) replay into the coordinator's single-writer
+chain in input order — coordinator-served cache hits emit the same
+bracket inline, so the chain content stays invariant under both the
+worker count and the dispatch plan. The plan computes each pure
+request's canonical form and cache key once; the chunk entry carries
+both to the worker, which serves under them.
 """
 
 from __future__ import annotations
@@ -207,7 +210,12 @@ def _resolve_operations(
 
 
 def _run_one(
-    index: int, name: str, values: dict, ctx: RunContext
+    index: int,
+    name: str,
+    values: dict | None,
+    ctx: RunContext,
+    built: dict | None = None,
+    key: str | None = None,
 ) -> dict:
     """Execute one request; domain failures become failed lines.
 
@@ -216,12 +224,15 @@ def _run_one(
     inline when the coordinator does — and never lets a
     :class:`ReproError` escape: the failure maps through the kernel's
     error table into the line body, so one bad request cannot abort
-    the batch.
+    the batch. *built*/*key* are the canonical request and cache key
+    the dispatch plan already computed, if it did.
     """
     audit_event("ops", "request-started", subject=name, index=index)
     try:
         operation = _batchable_operation(name)
-        response = execute(operation, values, context=ctx)
+        response = execute(
+            operation, values, context=ctx, request=built, key=key
+        )
     except ReproError as exc:
         message, code = describe_failure(exc)
         audit_event(
@@ -283,10 +294,6 @@ def _stats_delta(
     }
 
 
-#: Dispatch-plan entry kinds: serve locally vs drain from a chunk.
-_LOCAL = "local"
-_POOL = "pool"
-
 #: Requests listed verbatim in a flight-recorded logical plan before
 #: the remainder is summarised as an ``omitted`` count (no silent
 #: truncation — the header says exactly what fell off).
@@ -321,7 +328,12 @@ def _logical_plan(requests: Sequence[BatchRequest]) -> dict:
 
 
 def _serve(
-    index: int, name: str, values: dict, ctx: RunContext
+    index: int,
+    name: str,
+    values: dict | None,
+    ctx: RunContext,
+    built: dict | None = None,
+    key: str | None = None,
 ) -> tuple[dict, float, str | None]:
     """Run and measure one request: ``(line, latency, cache outcome)``.
 
@@ -334,7 +346,7 @@ def _serve(
     hits = cache.hits if cache is not None else 0
     misses = cache.misses if cache is not None else 0
     started = time.perf_counter()
-    line = _run_one(index, name, values, ctx)
+    line = _run_one(index, name, values, ctx, built, key)
     latency = time.perf_counter() - started
     outcome = None
     if cache is not None and cache.hits > hits:
@@ -490,52 +502,59 @@ class BatchExecutor:
         duplicate is served. Everything else lands in chunk order on
         the pool. With one worker every request is local: no chunk is
         built and no cache key computed.
+
+        Each plan entry is ``(request, built, key, slot)``: *built*
+        and *key* are the canonical request and cache key computed
+        here for a pure request (``None`` otherwise) and served
+        under as they are, locally or in a worker chunk, so neither
+        is computed twice; *slot* is ``(chunk, position)`` for a pool
+        entry and ``None`` for a local one.
         """
         if self.workers == 1:
-            return [(_LOCAL, request, 0, 0) for request in requests], []
+            return [(request, None, None, None) for request in requests], []
         cache = ctx.cache
         entries: list[tuple] = []
-        pending: list[tuple[int, str | None]] = []
+        pending: list[int] = []
         scheduled: set[str] = set()
         for request in requests:
             operation = operations.get(request.op)
             if operation is None:
-                entries.append((_LOCAL, request, 0, 0))
+                entries.append((request, None, None, None))
                 continue
-            key = None
+            built = key = None
             if cache is not None and operation.pure:
                 try:
                     built = build_request(operation, request.args)
                     digest = ctx.cache_digest(operation, built)
                 except ReproError:
                     # Doomed request: fails identically inline.
-                    entries.append((_LOCAL, request, 0, 0))
+                    entries.append((request, None, None, None))
                     continue
                 key = cache_key(operation.name, built, digest)
                 if key in cache or key in scheduled:
-                    entries.append((_LOCAL, request, 0, 0))
+                    entries.append((request, built, key, None))
                     continue
                 scheduled.add(key)
-            entries.append((_POOL, request, 0, 0))
-            pending.append((len(entries) - 1, key))
+            pending.append(len(entries))
+            entries.append((request, built, key, None))
         size = self.chunk_size or auto_chunk_size(
             len(pending), self.workers
         )
         chunks: list[tuple] = []
         for offset in range(0, len(pending), size):
-            block = pending[offset : offset + size]
-            chunk_id = len(chunks)
             chunk = []
-            for position, (entry_index, key) in enumerate(block):
-                _, request, _, _ = entries[entry_index]
+            for position, entry_index in enumerate(
+                pending[offset : offset + size]
+            ):
+                request, built, key, _ = entries[entry_index]
                 entries[entry_index] = (
-                    _POOL,
                     request,
-                    chunk_id,
-                    position,
+                    built,
+                    key,
+                    (len(chunks), position),
                 )
                 chunk.append(
-                    (request.index, request.op, request.args, key)
+                    (request.index, request.op, request.args, built, key)
                 )
             chunks.append(tuple(chunk))
         return entries, chunks
@@ -564,12 +583,18 @@ class BatchExecutor:
         lines: list[dict] = []
         series = window_series()
         try:
-            for kind, request, chunk_id, position in plan:
-                if kind == _LOCAL:
+            for request, built, key, slot in plan:
+                if slot is None:
                     line, latency, outcome = _serve(
-                        request.index, request.op, request.args, ctx
+                        request.index,
+                        request.op,
+                        request.args,
+                        ctx,
+                        built,
+                        key,
                     )
                 else:
+                    chunk_id, position = slot
                     # Plan entries name chunks in submission order, so
                     # the drain reaches this one after merging every
                     # earlier chunk's pure results into the cache.

@@ -106,15 +106,18 @@ def _run_pipeline(request: dict, ctx: RunContext) -> OpResponse:
     profiler = (
         SamplingProfiler() if profile_path is not None else None
     )
-    with observed(observer):
-        if profiler is not None:
-            with profiler:
+    try:
+        with observed(observer):
+            if profiler is not None:
+                with profiler:
+                    result = pipeline.run(source)
+            else:
                 result = pipeline.run(source)
-        else:
-            result = pipeline.run(source)
+    finally:
+        if audit_log is not None:
+            observer.trail.close()
     output = dict(result.metrics)
     if audit_log is not None:
-        observer.trail.close()
         verification = observer.trail.verify()
         output["observability"] = {
             "audit_log": str(observer.trail.path),
@@ -174,11 +177,10 @@ def _run_simulate_reb(request: dict, ctx: RunContext) -> OpResponse:
     from ..observability import observed
 
     observer = ctx.make_observer(request["audit_log"])
-    with observed(observer):
+    with observed(observer), observer.trail:
         result = simulate_reb_year(
             board, policy, seed=request["seed"]
         )
-    observer.trail.close()
     verification = observer.trail.verify()
     lines = [
         f"board: {board.name}; policy: {policy.value}",

@@ -28,6 +28,8 @@ def execute(
     values: Mapping | None = None,
     *,
     context: RunContext | None = None,
+    request: dict | None = None,
+    key: str | None = None,
 ) -> OpResponse:
     """Run one operation by *name* with *values*; returns its response.
 
@@ -37,6 +39,10 @@ def execute(
     served content-addressed: a hit returns the stored response
     without touching the handler, and both outcomes count into the
     ``ops.cache.*`` metrics.
+
+    A planner that already built the canonical *request* (and, for a
+    pure operation, its cache *key* against this context's data)
+    passes them instead of *values*, so neither is computed twice.
     """
     if isinstance(name, Operation):
         operation = name
@@ -45,13 +51,15 @@ def execute(
 
         operation = default_registry().get(name)
     ctx = context if context is not None else RunContext()
-    request = build_request(operation, values)
+    if request is None:
+        request = build_request(operation, values)
     if operation.pure and ctx.cache is not None:
-        key = cache_key(
-            operation.name,
-            request,
-            ctx.cache_digest(operation, request),
-        )
+        if key is None:
+            key = cache_key(
+                operation.name,
+                request,
+                ctx.cache_digest(operation, request),
+            )
         cached = ctx.cache.get(key)
         if cached is not None:
             return cached

@@ -57,6 +57,7 @@ R9 (worker-safety) audits every :meth:`WarmPool.map_ordered` call.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import dataclasses
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -106,8 +107,9 @@ class ChunkResult:
     """Everything one worker chunk ships back to the coordinator.
 
     ``lines`` are the response line bodies in chunk order;
-    ``shards`` is the parallel tuple of per-request telemetry
-    captures (``None`` when the coordinator's observer is disabled);
+    ``shards`` is the parallel tuple of per-request telemetry cuts
+    of the chunk's one capture, the last carrying its metrics
+    (``None`` when the coordinator's observer is disabled);
     ``samples`` the parallel ``(latency seconds, cache outcome)``
     pairs measured in the worker, for the coordinator's window
     series; ``pairs`` are the content-addressed ``(key, response)``
@@ -147,18 +149,22 @@ def _execute_chunk(
 ) -> ChunkResult:
     """Worker-side entry point: run one contiguous request chunk.
 
-    *chunk* is a tuple of ``(index, op, args, key)`` entries, where
-    *key* is the cache key the coordinator's plan computed for a pure
-    request (``None`` otherwise). Each request is run and measured by
-    the same :func:`~repro.ops.batch._serve` a coordinator-local
-    serve uses, under its own
-    :class:`~repro.observability.worker.TelemetryShard` when the
-    coordinator observes, so per-request audit brackets replay in
-    exact submission order and the window series gets the latency
-    and cache outcome measured where the request ran. Successful pure
+    *chunk* is a tuple of ``(index, op, args, request, key)``
+    entries. For a pure request the coordinator's plan already built
+    the canonical *request* and its cache *key*; the worker serves
+    under them as they are, so it neither rebuilds the request nor
+    rehashes the key. Other entries carry ``None`` for both, and the
+    kernel builds the request from *args*. Each request is run and
+    measured by the same :func:`~repro.ops.batch._serve` a
+    coordinator-local serve uses. When the coordinator observes, the
+    whole chunk runs under one
+    :class:`~repro.observability.worker.TelemetryShard` that is cut
+    into one shard per request — the last also carrying the chunk's
+    metrics snapshot — so per-request audit brackets replay in exact
+    submission order, and the window series gets the latency and
+    cache outcome measured where the request ran. Successful pure
     results are exported as ``(key, response)`` pairs for the
-    coordinator cache, looked up under the planned key rather than
-    hashed again.
+    coordinator cache.
     """
     from .batch import _serve, _worker_context
 
@@ -170,21 +176,28 @@ def _execute_chunk(
     shards: list[WorkerTelemetry | None] = []
     samples: list[tuple[float, str | None]] = []
     pairs: list[tuple[str, object]] = []
-    for index, name, values, key in chunk:
-        if telemetry:
-            with TelemetryShard() as shard:
-                line, latency, outcome = _serve(index, name, values, ctx)
-            shards.append(shard.telemetry())
-        else:
-            line, latency, outcome = _serve(index, name, values, ctx)
-            shards.append(None)
-        samples.append((latency, outcome))
-        lines.append(line)
-        if cache is None or key is None or not line["ok"]:
-            continue
-        response = cache.peek(key)
-        if response is not None:
-            pairs.append((key, response))
+    last = len(chunk) - 1
+    capture = TelemetryShard() if telemetry else contextlib.nullcontext()
+    with capture:
+        for position, (index, name, values, built, key) in enumerate(
+            chunk
+        ):
+            line, latency, outcome = _serve(
+                index, name, values, ctx, built, key
+            )
+            if not telemetry:
+                shards.append(None)
+            elif position < last:
+                shards.append(capture.cut())
+            else:
+                shards.append(capture.telemetry())
+            samples.append((latency, outcome))
+            lines.append(line)
+            if cache is None or key is None or not line["ok"]:
+                continue
+            response = cache.peek(key)
+            if response is not None:
+                pairs.append((key, response))
     return ChunkResult(
         lines=tuple(lines),
         shards=tuple(shards),

@@ -18,10 +18,14 @@ The contract under test (see ``docs/observability.md``):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import tempfile
 import timeit
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli.main import main as cli_main
 from repro.errors import SafeguardError
@@ -43,6 +47,7 @@ from repro.observability import (
     verify_events,
     verify_jsonl,
 )
+from repro.observability.log import BLOCK_LINES
 
 
 def _chain(count: int = 6) -> AuditTrail:
@@ -161,6 +166,113 @@ class TestJsonlLog:
     def test_unreadable_log_raises(self, tmp_path):
         with pytest.raises(SafeguardError):
             load_events(tmp_path / "missing.jsonl")
+
+
+class TestFlushPoint:
+    """The on-disk log is a whole-line, verifiable prefix of the chain."""
+
+    @pytest.mark.parametrize("count", [0, 3, BLOCK_LINES, BLOCK_LINES + 7])
+    def test_open_log_is_a_verifiable_prefix(self, tmp_path, count):
+        path = tmp_path / "audit.jsonl"
+        trail = AuditTrail(path)
+        for index in range(count):
+            trail.event("access", "grant", subject=f"p-{index}")
+        data = path.read_bytes()
+        assert data == b"" or data.endswith(b"\n")  # whole lines only
+        on_disk = verify_jsonl(path)
+        assert on_disk.ok
+        assert on_disk.length <= len(trail)
+        # At most one unwritten block lags behind the chain.
+        assert len(trail) - on_disk.length < BLOCK_LINES
+        trail.close()
+        closed = verify_jsonl(path)
+        assert closed.ok
+        assert closed.length == len(trail) == count
+        assert closed.tail_digest == trail.tail_digest
+        assert closed == trail.verify()
+
+    def test_event_after_close_stays_in_memory(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        trail = AuditTrail(path)
+        trail.event("access", "grant")
+        trail.close()
+        trail.event("access", "revoke")
+        assert len(trail) == 2 and trail.verify().ok
+        assert verify_jsonl(path).length == 1
+
+
+_RESERVED = {"self", "category", "action", "subject"}
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+#: Text that stresses escaping: quotes, backslashes, control and
+#: non-ASCII characters are all drawn often.
+_TEXT = st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀/ {}:,')
+    | st.characters(),
+    max_size=12,
+)
+
+
+def _canonical(obj) -> str:
+    """Canonical JSON spelled with the json module directly."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestSplitEncoding:
+    """One encode per event: the split halves equal the whole record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        category=_TEXT,
+        action=_TEXT,
+        subject=_TEXT,
+        detail=st.dictionaries(
+            _TEXT.filter(lambda key: key not in _RESERVED),
+            _JSON_VALUES,
+            max_size=5,
+        ),
+    )
+    def test_written_line_is_the_canonical_record(
+        self, category, action, subject, detail
+    ):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "audit.jsonl"
+            with AuditTrail(path) as trail:
+                for _ in range(2):
+                    trail.event(category, action, subject, **detail)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            previous = GENESIS_DIGEST
+            for sequence, line in enumerate(lines):
+                payload = {
+                    "action": action,
+                    "category": category,
+                    "detail": detail,
+                    "previous_digest": previous,
+                    "sequence": sequence,
+                    "subject": subject,
+                }
+                digest = hashlib.blake2b(
+                    _canonical(payload).encode("utf-8"), digest_size=32
+                ).hexdigest()
+                assert line == _canonical({**payload, "digest": digest})
+                assert trail.tail(2)[sequence].digest == digest
+                assert trail.tail(2)[sequence].to_json() == line
+                previous = digest
+            verification = verify_jsonl(path)
+            assert verification.ok
+            assert verification.length == 2
+            assert verification.tail_digest == previous
 
 
 class TestMetrics:

@@ -264,6 +264,70 @@ class TestPoolPathSamples:
         assert result.summary["ok"] == len(requests)
 
 
+class TestChunkTelemetry:
+    @pytest.mark.parametrize("chunk_size", [1, 3])
+    def test_one_capture_per_chunk_merges_like_serial(
+        self, requests_file, chunk_size
+    ):
+        """Workers ship one metrics snapshot per chunk: the merged
+        registry counts each worker-side cache miss exactly once."""
+        from repro.observability import Observer, observed
+
+        requests = load_requests(requests_file)
+        counters = {}
+        for workers in (1, 2):
+            observer = Observer.recording()
+            with observed(observer):
+                BatchExecutor(
+                    workers=workers, chunk_size=chunk_size
+                ).run(requests)
+            counters[workers] = {
+                name: value
+                for name, value in observer.metrics.snapshot()[
+                    "counters"
+                ].items()
+                if name.startswith("ops.cache.")
+            }
+            assert observer.trail.verify().ok
+        assert counters[2] == counters[1] == {
+            "ops.cache.hits": 1,
+            "ops.cache.misses": 5,
+        }
+
+
+class TestPlannedKey:
+    def test_worker_serves_under_the_planned_request_and_key(
+        self, monkeypatch
+    ):
+        """A chunk entry carries the built request and its key; the
+        worker neither rebuilds nor rehashes them."""
+        from repro.ops import kernel
+        from repro.ops import pool as pool_module
+        from repro.ops.batch import _batchable_operation, _worker_context
+        from repro.ops.cache import cache_key
+        from repro.ops.context import RunContext
+        from repro.ops.spec import build_request
+
+        ctx = _worker_context(True)
+        operation = _batchable_operation("legend")
+        built = build_request(operation, {})
+        key = cache_key(
+            operation.name, built, ctx.cache_digest(operation, built)
+        )
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("recomputed in the worker")
+
+        monkeypatch.setattr(kernel, "build_request", recomputed)
+        monkeypatch.setattr(kernel, "cache_key", recomputed)
+        monkeypatch.setattr(RunContext, "cache_digest", recomputed)
+        result = pool_module._execute_chunk(
+            ((0, "legend", {}, built, key),), False, True
+        )
+        assert result.lines[0]["ok"]
+        assert [pair[0] for pair in result.pairs] == [key]
+
+
 class TestFailFastValidation:
     def test_invalid_batch_never_spawns_a_worker(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -376,6 +440,34 @@ class TestWorkerLoss:
 
         actions = [event.action for event in load_events(log)]
         assert "worker-lost" in actions
+
+    def test_failed_batch_leaves_a_verifiable_log(
+        self, requests_file, monkeypatch, tmp_path
+    ):
+        """The batch op writes the buffered block even when it raises."""
+        from repro.observability import load_events, verify_jsonl
+        from repro.ops import execute
+        from repro.ops import pool as pool_module
+
+        monkeypatch.setattr(
+            pool_module, "_execute_chunk", _crash_worker
+        )
+        log = tmp_path / "audit.jsonl"
+        with pytest.raises(BatchError):
+            execute(
+                "batch",
+                {
+                    "requests": str(requests_file),
+                    "workers": 2,
+                    "audit_log": str(log),
+                },
+            )
+        verification = verify_jsonl(log)
+        assert verification.ok
+        events = load_events(log)
+        assert verification.length == len(events)
+        assert events[0].action == "batch-started"
+        assert events[-1].action == "worker-lost"
 
 
 class TestStaticcheckOverPool:

@@ -252,6 +252,59 @@ class TestPackScopedCache:
             != swapped.payload["pack"]["digest"]
         )
 
+    def test_hot_swap_on_warm_pool(self, tmp_path):
+        """Workers serve under the coordinator's key, which tracks
+        the pack file: an edit is a miss everywhere, never stale."""
+        from repro.ops import (
+            BatchExecutor,
+            load_requests,
+            shutdown_warm_pools,
+        )
+
+        path = tmp_path / "pack.json"
+        path.write_text(json.dumps(DEFAULT_PACK), encoding="utf-8")
+        requests_path = tmp_path / "requests.jsonl"
+        requests_path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "op": "policy.assess",
+                        "args": {"pack": str(path), "seed": seed},
+                    }
+                )
+                + "\n"
+                for seed in (5, 6, 5)
+            ),
+            encoding="utf-8",
+        )
+        requests = load_requests(requests_path)
+        executor = BatchExecutor(workers=2, warm=True, chunk_size=1)
+
+        def pack_digests(result) -> set[str]:
+            assert all(line["ok"] for line in result.lines)
+            return {
+                line["payload"]["pack"]["digest"]
+                for line in result.lines
+            }
+
+        try:
+            first = executor.run(requests)
+            assert first.summary["cache"]["hits"] == 1  # the repeat
+            again = executor.run(requests)
+            assert again.summary["cache"]["hits"] == 3
+            assert again.text() == first.text()
+
+            path.write_text(
+                json.dumps(PRECAUTIONARY_PACK), encoding="utf-8"
+            )
+            swapped = executor.run(requests)
+        finally:
+            shutdown_warm_pools()
+        assert swapped.summary["cache"]["workers"]["misses"] == 2
+        assert swapped.summary["cache"]["coordinator"]["hits"] == 1
+        assert pack_digests(first) == {pack_digest(DEFAULT_PACK)}
+        assert pack_digests(swapped) == {pack_digest(PRECAUTIONARY_PACK)}
+
     def test_plain_pure_ops_unchanged(self):
         ctx = RunContext(cache=ResultCache(8))
         execute("stats", context=ctx)
