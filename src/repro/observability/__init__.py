@@ -16,7 +16,8 @@ architecture so every subsystem can emit into it:
   histograms with a shared no-op mode so disabled instrumentation
   costs nothing on the pipeline hot path;
 * :mod:`~repro.observability.tracing` — context-manager timing spans
-  feeding the metrics registry;
+  whose one record is a ``span.<name>.seconds`` histogram in the
+  metrics registry;
 * :mod:`~repro.observability.runtime` — the process-wide
   :class:`Observer` switch and the :func:`audit_event` helper every
   safeguard-boundary mutation calls (enforced by staticcheck R5);
@@ -25,15 +26,15 @@ architecture so every subsystem can emit into it:
   deterministic :func:`replay_shard` merge in the coordinator, so
   ``workers=N`` produces the same audit-chain content as serial;
 * :mod:`~repro.observability.export` — telemetry egress: Prometheus
-  text exposition and OTLP-style JSON over registry snapshots and
-  span trees, plus the audit-derived registry behind the
+  text exposition and OTLP-style JSON over registry snapshots,
+  plus the audit-derived registry behind the
   deterministic ``repro-ethics obs export``;
 * :mod:`~repro.observability.profiler` — a sampling profiler
   (interval stack sampler + optional ``sys.setprofile`` call-count
   hybrid) attributing samples to the active span and emitting
   collapsed-stack output for flamegraph tooling;
 * :mod:`~repro.observability.flight` — the flight recorder: a
-  bounded ring of recent events/spans/metric deltas, dumped on
+  bounded ring of recent events and metric deltas, dumped on
   failure as a hash-chained, configuration-invariant incident
   bundle;
 * :mod:`~repro.observability.windows` /
@@ -61,7 +62,6 @@ from .export import (
     registry_from_events,
     render_otlp,
     render_prometheus,
-    span_forest,
 )
 from .log import (
     AuditTrail,
@@ -92,7 +92,7 @@ from .runtime import (
     window_series,
 )
 from .slo import SloObjective, SloReport, SloSpec, evaluate_slo
-from .tracing import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
+from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 from .windows import (
     RequestSample,
     Window,
@@ -124,7 +124,6 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "Span",
-    "SpanRecord",
     "TelemetryShard",
     "Tracer",
     "Window",
@@ -144,7 +143,6 @@ __all__ = [
     "render_prometheus",
     "replay_shard",
     "set_observer",
-    "span_forest",
     "top_collapsed",
     "tracer",
     "verify_bundle_text",

@@ -14,33 +14,27 @@ actually run. Two wire formats, both pure functions of their inputs:
   rendering the deterministic audit-derived snapshot of two
   same-seed runs is byte-identical too.
 * :func:`render_otlp` — an OTLP-style JSON document
-  (``resourceMetrics`` with sum/gauge/histogram data points and,
-  when span records are supplied, ``resourceSpans`` whose span and
-  trace ids are *derived deterministically* from span position and
-  name, never drawn from an RNG). It is OTLP-shaped for easy
-  ingestion, not a certified protobuf mapping — timestamps are span
-  durations from zero, because the repository's telemetry is
+  (``resourceMetrics`` with sum/gauge/histogram data points; span
+  time arrives as the ``span.<name>.seconds`` histograms). It is
+  OTLP-shaped for easy ingestion, not a certified protobuf mapping,
+  and carries no timestamps, because the repository's telemetry is
   deliberately clock-free.
 
 :func:`registry_from_events` bridges the audit side: it folds a
 verified event chain into counters/gauges (``audit.events.<category>.
 <action>`` counts plus chain anchors), which is what makes
 ``repro-ethics obs export`` deterministic for seeded runs.
-:func:`span_forest` rebuilds the nesting tree from flat
-depth-annotated span records for the OTLP renderer and the CLI.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .events import AuditEvent
 from .log import verify_events
 from .metrics import BUCKET_BOUNDS, MetricsRegistry
-from .tracing import SpanRecord
 
 __all__ = [
     "INSTRUMENT_HELP",
@@ -48,7 +42,6 @@ __all__ = [
     "registry_from_events",
     "render_otlp",
     "render_prometheus",
-    "span_forest",
 ]
 
 #: Characters Prometheus forbids in metric names, replaced by ``_``.
@@ -207,47 +200,6 @@ def render_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _span_id(index: int, name: str) -> str:
-    """A deterministic 8-byte span id from position and name."""
-    return hashlib.blake2b(
-        f"{index}:{name}".encode("utf-8"), digest_size=8
-    ).hexdigest()
-
-
-def _trace_id(records: Sequence[SpanRecord]) -> str:
-    """A deterministic 16-byte trace id from the span name sequence."""
-    material = "\x00".join(record.name for record in records)
-    return hashlib.blake2b(
-        material.encode("utf-8"), digest_size=16
-    ).hexdigest()
-
-
-def span_forest(records: Iterable[SpanRecord]) -> list[dict]:
-    """Rebuild the nesting tree from flat finished-span records.
-
-    Spans finish in post-order (children before parents), so a
-    record at depth ``d`` adopts every pending record at depth
-    ``d + 1``. Spans left unclosed (no parent finished) surface as
-    roots in completion order. Each node is
-    ``{"name", "seconds", "children"}``.
-    """
-    pending: dict[int, list[dict]] = {}
-    roots: list[dict] = []
-    for record in records:
-        node = {
-            "name": record.name,
-            "seconds": round(record.seconds, 6),
-            "children": pending.pop(record.depth + 1, []),
-        }
-        if record.depth == 0:
-            roots.append(node)
-        else:
-            pending.setdefault(record.depth, []).append(node)
-    for orphans in pending.values():
-        roots.extend(orphans)
-    return roots
-
-
 def _otlp_number(value: int | float) -> dict:
     """One OTLP NumberDataPoint value field."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -257,19 +209,15 @@ def _otlp_number(value: int | float) -> dict:
 
 def render_otlp(
     snapshot: dict,
-    spans: Iterable[SpanRecord] = (),
     *,
     service: str = "repro-ethics",
     indent: int | None = 2,
 ) -> str:
-    """Render a snapshot (and optionally spans) as OTLP-style JSON.
+    """Render a registry snapshot as OTLP-style JSON.
 
     Counters become monotonic cumulative sums, gauges gauges, and
     histograms histogram data points carrying the fixed
-    ``explicitBounds``. Span records, when given, are emitted as one
-    ``resourceSpans`` block whose parent/child links come from
-    :func:`span_forest` and whose ids are deterministic functions of
-    span order and name (clock-free, reproducible).
+    ``explicitBounds``.
     """
     metrics: list[dict] = []
     for name in sorted(snapshot.get("counters", {})):
@@ -323,18 +271,17 @@ def render_otlp(
                 },
             }
         )
-    resource = {
-        "attributes": [
-            {
-                "key": "service.name",
-                "value": {"stringValue": service},
-            }
-        ]
-    }
-    document: dict = {
+    document = {
         "resourceMetrics": [
             {
-                "resource": resource,
+                "resource": {
+                    "attributes": [
+                        {
+                            "key": "service.name",
+                            "value": {"stringValue": service},
+                        }
+                    ]
+                },
                 "scopeMetrics": [
                     {
                         "scope": {"name": "repro.observability"},
@@ -344,40 +291,6 @@ def render_otlp(
             }
         ]
     }
-    span_records = list(spans)
-    if span_records:
-        trace_id = _trace_id(span_records)
-        otlp_spans: list[dict] = []
-
-        def emit(node: dict, parent_id: str) -> None:
-            span_id = _span_id(len(otlp_spans), node["name"])
-            duration_ns = int(node["seconds"] * 1_000_000_000)
-            record: dict = {
-                "traceId": trace_id,
-                "spanId": span_id,
-                "name": node["name"],
-                "startTimeUnixNano": "0",
-                "endTimeUnixNano": str(duration_ns),
-            }
-            if parent_id:
-                record["parentSpanId"] = parent_id
-            otlp_spans.append(record)
-            for child in node["children"]:
-                emit(child, span_id)
-
-        for root in span_forest(span_records):
-            emit(root, "")
-        document["resourceSpans"] = [
-            {
-                "resource": resource,
-                "scopeSpans": [
-                    {
-                        "scope": {"name": "repro.observability"},
-                        "spans": otlp_spans,
-                    }
-                ],
-            }
-        ]
     return json.dumps(document, indent=indent, sort_keys=True)
 
 

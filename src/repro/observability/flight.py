@@ -7,13 +7,13 @@ itself, because incident evidence about illicit-origin data handling
 is exactly the kind of record a REB inspects. The
 :class:`FlightRecorder` is the clock-free answer:
 
-* **A bounded ring.** ``record_event`` / ``record_span`` /
-  ``record_metric`` append small frames to a ``deque(maxlen=N)``;
-  old frames fall off the front (the ``dropped`` counter stays
-  honest about it). The recorder taps
-  :func:`~repro.observability.runtime.audit_event` through the
-  installed :class:`~repro.observability.runtime.Observer`, so every
-  audit bracket the batch executor and ``WarmPool`` emit — including
+* **A bounded ring.** ``record_event`` / ``record_metric`` append
+  small frames to a ``deque(maxlen=N)``; old frames fall off the
+  front (the ``dropped`` counter stays honest about it). The
+  recorder taps :func:`~repro.observability.runtime.audit_event`
+  through the installed
+  :class:`~repro.observability.runtime.Observer`, so every audit
+  bracket the batch executor and ``WarmPool`` emit — including
   worker-shard events replayed in input order — lands in the ring
   without any call-site changes.
 * **Configuration-invariant frames.** Frame details are normalized
@@ -21,8 +21,13 @@ is exactly the kind of record a REB inspects. The
   ``workers``) — the keys that honestly describe the *execution
   configuration* rather than the *work*. The full-fidelity values
   stay in the audit chain; the ring keeps only what must be
-  byte-identical across worker counts. Span frames carry name and
-  depth, never seconds; timings are envelope material.
+  byte-identical across worker counts. Timings are envelope
+  material: span time lives in the registry snapshot, and each
+  ``stage.<name>`` span is already marked by the
+  ``pipeline/stage-applied`` event that follows it, so the ring
+  records no span frames. Bundles written by earlier versions may
+  hold ``span`` frames (name and depth); they load and verify
+  unchanged.
 * **Self-contained incident bundles.** :meth:`incident` snapshots
   the ring into an :class:`IncidentBundle`: a JSONL **body** (one
   header line, then one hash-chained line per frame — BLAKE2b-256
@@ -32,8 +37,9 @@ is exactly the kind of record a REB inspects. The
   line for everything configuration- or wall-clock-flavoured: the
   free-text reason, the live registry snapshot, the caller's
   context. The body bytes of a deterministic failure are identical
-  across batch worker counts 1/2/4 — the acceptance property
-  ``tests/test_health_surface.py`` pins down — and
+  across batch and pipeline worker counts — the acceptance
+  property ``tests/test_health_surface.py`` and
+  ``tests/test_worker_telemetry.py`` pin down — and
   :func:`verify_bundle_text` feeds the frame records to the audit
   chain walker, :func:`~repro.observability.log.verify_events`, so
   bundles and audit logs share one definition of "intact".
@@ -82,7 +88,8 @@ _HEADER_KEYS = (
     "sequence", "tail_digest", "version",
 )
 
-#: The exact keys of each frame kind the ring records.
+#: The exact keys of each frame kind a bundle may hold (``span``
+#: frames only appear in bundles dumped by earlier versions).
 _FRAME_KEYS = {
     "event": {"kind", "category", "action", "subject", "detail"},
     "span": {"kind", "name", "depth"},
@@ -143,8 +150,8 @@ def _normalized(frame: dict) -> dict:
 
     Event frames are stored raw on the hot path; this projects out
     the :data:`RUN_SCOPE_DETAIL_KEYS`, sorts the detail keys and
-    coerces values to JSON-safe forms. Span and metric frames are
-    already canonical and pass through unchanged.
+    coerces values to JSON-safe forms. Metric frames are already
+    canonical and pass through unchanged.
     """
     if frame["kind"] != "event":
         return frame
@@ -308,12 +315,6 @@ class FlightRecorder:
                 "subject": subject,
                 "detail": detail,
             }
-        )
-
-    def record_span(self, name: str, depth: int) -> None:
-        """Ring one finished span — name and depth, never seconds."""
-        self._append(
-            {"kind": "span", "name": name, "depth": depth}
         )
 
     def record_metric(

@@ -1,43 +1,37 @@
 """Context-manager tracing spans for the safeguard machinery.
 
 A :class:`Tracer` hands out ``with tracer.span("pipeline.seal"):``
-context managers. Each finished span records its wall-clock duration
-(``time.perf_counter`` — the one clock the determinism rules allow,
-because timings live strictly outside the data path) both in the
-tracer's finished-span list and, when the tracer was built over a
-:class:`~repro.observability.metrics.MetricsRegistry`, as a
-``span.<name>.seconds`` histogram observation.
+context managers. Each finished span observes its wall-clock
+duration (``time.perf_counter`` — the one clock the determinism
+rules allow, because timings live strictly outside the data path) as
+a ``span.<name>.seconds`` histogram in the tracer's
+:class:`~repro.observability.metrics.MetricsRegistry`. That
+histogram is the one record of a span: the tracer keeps no span
+list, and :meth:`Tracer.summary` reads its totals back from the
+registry.
 
 The :data:`NULL_TRACER` singleton is the no-op twin: ``span()``
 returns one shared, reusable context manager whose enter/exit do
 nothing, so instrumented code never branches on whether tracing is
-enabled. Spans nest (the tracer tracks depth) and are process-local;
-pipeline worker processes record spans into chunk-local tracers
-whose finished records ship back for :meth:`Tracer.absorb` in the
-coordinator (see :mod:`repro.observability.worker`). The tracer also
-exposes :attr:`Tracer.active_span` — the innermost open span's name
-— which the sampling profiler reads from its sampler thread to
-attribute stack samples.
+enabled. Pipeline worker processes record spans into chunk-local
+registries whose snapshots merge into the coordinator's registry
+(see :mod:`repro.observability.worker`), so worker span time shows
+up in the coordinator's summary with no span shipping of its own.
+The tracer also exposes :attr:`Tracer.active_span` — the innermost
+open span's name — which the sampling profiler reads from its
+sampler thread to attribute stack samples.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from collections.abc import Iterable
 
 from .metrics import NULL_METRICS, MetricsRegistry
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "SpanRecord", "Tracer"]
+__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer"]
 
-
-@dataclasses.dataclass(frozen=True)
-class SpanRecord:
-    """One finished span: name, nesting depth and duration."""
-
-    name: str
-    depth: int
-    seconds: float
+_PREFIX = "span."
+_SUFFIX = ".seconds"
 
 
 class Span:
@@ -51,29 +45,24 @@ class Span:
         self._started = 0.0
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        tracer._depth += 1
-        tracer._active.append(self.name)
+        self._tracer._active.append(self.name)
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         elapsed = time.perf_counter() - self._started
         tracer = self._tracer
-        tracer._depth -= 1
         tracer._active.pop()
-        tracer._record(self.name, tracer._depth, elapsed)
+        tracer._metrics.histogram(
+            f"{_PREFIX}{self.name}{_SUFFIX}"
+        ).observe(elapsed)
 
 
 class Tracer:
-    """Produces spans and keeps the finished-span record."""
+    """Produces spans that time into a metrics registry."""
 
-    def __init__(
-        self, metrics: MetricsRegistry | None = None
-    ) -> None:
-        self._metrics = metrics or NULL_METRICS
-        self._finished: list[SpanRecord] = []
-        self._depth = 0
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
         self._active: list[str] = []
 
     @property
@@ -97,45 +86,20 @@ class Tracer:
         """A context manager timing the enclosed block as *name*."""
         return Span(name, self)
 
-    def _record(
-        self, name: str, depth: int, seconds: float
-    ) -> None:
-        self._finished.append(SpanRecord(name, depth, seconds))
-        self._metrics.histogram(f"span.{name}.seconds").observe(
-            seconds
-        )
-
-    def absorb(self, records: "Iterable[SpanRecord]") -> None:
-        """Append already-finished spans from another tracer.
-
-        Used by the pipeline's worker-telemetry merge: span records
-        shipped back from worker processes are appended in chunk
-        order. Metrics are *not* re-fed — the worker's own
-        ``span.<name>.seconds`` histogram observations arrive via its
-        registry snapshot, so re-observing here would double-count.
-        """
-        self._finished.extend(records)
-
-    @property
-    def finished(self) -> tuple[SpanRecord, ...]:
-        """Every finished span, in completion order."""
-        return tuple(self._finished)
-
     def summary(self) -> dict:
-        """Per-name {count, seconds} totals, sorted by name."""
-        totals: dict[str, dict] = {}
-        for record in self._finished:
-            entry = totals.setdefault(
-                record.name, {"count": 0, "seconds": 0.0}
-            )
-            entry["count"] += 1
-            entry["seconds"] += record.seconds
+        """Per-name {count, seconds} totals, sorted by name.
+
+        Read from the registry's ``span.<name>.seconds`` histograms,
+        so merged worker snapshots count like local spans.
+        """
+        histograms = self._metrics.snapshot()["histograms"]
         return {
-            name: {
+            name[len(_PREFIX) : -len(_SUFFIX)]: {
                 "count": entry["count"],
-                "seconds": round(entry["seconds"], 6),
+                "seconds": entry["total"],
             }
-            for name, entry in sorted(totals.items())
+            for name, entry in histograms.items()
+            if name.startswith(_PREFIX) and name.endswith(_SUFFIX)
         }
 
 
@@ -158,7 +122,7 @@ class NullTracer(Tracer):
     """No-op tracer: ``span()`` returns one shared inert manager."""
 
     def __init__(self) -> None:
-        super().__init__()
+        super().__init__(NULL_METRICS)
 
     @property
     def enabled(self) -> bool:

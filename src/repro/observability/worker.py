@@ -12,16 +12,17 @@ deterministic chain:
   captures audit events as *raw, unsealed* ``(category, action,
   subject, detail)`` tuples (a per-worker audit shard — sequence
   numbers and chain digests are deliberately not assigned in the
-  worker), records spans into a chunk-local tracer, and snapshots a
-  chunk-local metrics registry. :meth:`TelemetryShard.telemetry`
-  packs all three into a picklable :class:`WorkerTelemetry` that
-  ships back with the chunk result.
+  worker) and snapshots a chunk-local metrics registry, which is
+  also where the chunk-local tracer observes its spans as
+  ``span.<name>.seconds`` histograms.
+  :meth:`TelemetryShard.telemetry` packs both into a picklable
+  :class:`WorkerTelemetry` that ships back with the chunk result.
 * **Parent side** — :func:`replay_shard` folds one shard into the
   observer installed in the coordinator: captured events are
   re-emitted through :func:`~repro.observability.runtime.audit_event`
   (the parent trail assigns sequence numbers and digests, staying the
-  chain's single writer), span records are absorbed into the parent
-  tracer, and the metric snapshot merges into the parent registry.
+  chain's single writer), and the metric snapshot — worker span
+  time included — merges into the parent registry.
 
 Because the pipeline merges chunk results **in chunk order** and
 events inside a shard keep their emission order, replaying shards
@@ -29,12 +30,12 @@ yields exactly the event stream a serial run emits inline: the audit
 chain *content* is identical for ``workers=1`` and ``workers=N``
 (byte-identical but for the honest ``workers`` field of the
 run-started event). Shards are clock-free — timings live only in the
-span records and metric snapshots, which are not chained.
+metric snapshots, which are not chained.
 
 The ops warm pool (:mod:`repro.ops.pool`) opens the same one
 capture per chunk but ships it **one shard per request**: after each
-request :meth:`~TelemetryShard.cut` packs that request's events and
-spans, and the chunk's last request carries the one metrics snapshot
+request :meth:`~TelemetryShard.cut` packs that request's events,
+and the chunk's last request carries the one metrics snapshot
 (:meth:`~TelemetryShard.telemetry`). The batch coordinator can thus
 interleave replays with the audit brackets it emits inline for
 coordinator-served cache hits, so the chain content stays invariant
@@ -49,7 +50,7 @@ import dataclasses
 
 from .metrics import MetricsRegistry
 from .runtime import Observer, audit_event, get_observer, set_observer
-from .tracing import SpanRecord, Tracer
+from .tracing import Tracer
 
 __all__ = ["TelemetryShard", "WorkerTelemetry", "replay_shard"]
 
@@ -58,14 +59,12 @@ __all__ = ["TelemetryShard", "WorkerTelemetry", "replay_shard"]
 class WorkerTelemetry:
     """One chunk's telemetry, packed for the pickling boundary.
 
-    ``events`` are raw audit tuples in emission order; ``spans`` are
-    ``(name, depth, seconds)`` triples in completion order;
-    ``metrics`` is a registry snapshot. All three are plain
+    ``events`` are raw audit tuples in emission order; ``metrics``
+    is a registry snapshot, span histograms included. Both are plain
     tuples/dicts so the object crosses the process pool unchanged.
     """
 
     events: tuple[tuple[str, str, str, dict], ...] = ()
-    spans: tuple[tuple[str, int, float], ...] = ()
     metrics: dict = dataclasses.field(default_factory=dict)
 
 
@@ -101,22 +100,20 @@ class TelemetryShard:
     Use as a context manager around the chunk's work: entering
     installs a capture observer (shard trail + chunk-local registry
     + tracer), exiting restores whatever was installed before.
-    :meth:`cut` packs the events and spans captured since the last
-    cut; :meth:`telemetry` packs the rest together with the chunk's
+    :meth:`cut` packs the events captured since the last cut;
+    :meth:`telemetry` packs the rest together with the chunk's
     metrics snapshot — the whole capture when nothing was cut.
     """
 
     def __init__(self) -> None:
         self._trail = _ShardTrail()
         self._registry = MetricsRegistry()
-        self._tracer = Tracer(self._registry)
         self._observer = Observer(
             trail=self._trail,  # type: ignore[arg-type]
             metrics=self._registry,
-            tracer=self._tracer,
+            tracer=Tracer(self._registry),
         )
         self._previous: Observer | None = None
-        self._spans_cut = 0
 
     def __enter__(self) -> "TelemetryShard":
         self._previous = set_observer(self._observer)
@@ -127,20 +124,14 @@ class TelemetryShard:
         self._previous = None
 
     def cut(self) -> WorkerTelemetry:
-        """The events and spans captured since the previous cut.
+        """The events captured since the previous cut.
 
         Carries no metrics: the registry is snapshotted once, by
         :meth:`telemetry`, for the whole capture.
         """
         events = tuple(self._trail.events)
         self._trail.events.clear()
-        finished = self._tracer.finished
-        spans = tuple(
-            (record.name, record.depth, record.seconds)
-            for record in finished[self._spans_cut :]
-        )
-        self._spans_cut = len(finished)
-        return WorkerTelemetry(events=events, spans=spans)
+        return WorkerTelemetry(events=events)
 
     def telemetry(self) -> WorkerTelemetry:
         """The final cut plus the capture's metrics snapshot."""
@@ -155,28 +146,16 @@ def replay_shard(shard: WorkerTelemetry) -> None:
     Called by the pipeline and batch coordinators while draining
     chunk results **in input order**: events re-emit through the
     parent trail (which assigns sequence numbers and digests,
-    keeping the chain single-writer), spans are absorbed into the
-    parent tracer, and the metric snapshot merges into the parent
-    registry. A disabled observer makes this a no-op, mirroring the
-    disabled :func:`~repro.observability.runtime.audit_event` path.
+    keeping the chain single-writer), and the metric snapshot merges
+    into the parent registry. A disabled observer makes this a
+    no-op, mirroring the disabled
+    :func:`~repro.observability.runtime.audit_event` path.
     """
     observer = get_observer()
     if not observer.enabled:
         return
     for category, action, subject, detail in shard.events:
         audit_event(category, action, subject, **detail)
-    recorder = observer.flight
-    if recorder is not None:
-        # The ring keeps span frames clock-free: name and depth in
-        # replay (= input) order, never the seconds — those stay in
-        # the tracer/registry, which bundles carry in the envelope.
-        for name, depth, _seconds in shard.spans:
-            recorder.record_span(name, depth)
-    if observer.tracer.enabled:
-        observer.tracer.absorb(
-            SpanRecord(name, depth, seconds)
-            for name, depth, seconds in shard.spans
-        )
     if observer.metrics.enabled and shard.metrics:
         # Only a chunk's final cut carries its metrics snapshot.
         observer.metrics.merge(shard.metrics)

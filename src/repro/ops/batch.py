@@ -793,7 +793,7 @@ def batch_operation() -> Operation:
                 metavar="N",
                 help=(
                     "flight-recorder ring size: how many recent "
-                    "events/spans/metric deltas an incident bundle "
+                    "events and metric deltas an incident bundle "
                     "carries (default: 256)"
                 ),
             ),

@@ -10,9 +10,9 @@ hash-chained so tampering is detectable.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from collections.abc import Iterator
 
+from .._util import blake2b_hex, canonical_json
 from ..errors import AccessDeniedError, SafeguardError
 from ..observability import GENESIS_DIGEST, audit_event, verify_events
 
@@ -61,12 +61,24 @@ class AuditRecord:
     digest: str = ""
 
     def compute_digest(self) -> str:
-        """The SHA-256 digest binding this record to its chain."""
-        payload = (
-            f"{self.sequence}|{self.principal}|{self.action}|"
-            f"{self.resource}|{self.allowed}|{self.previous_digest}"
+        """The digest binding this record to its chain.
+
+        BLAKE2b-256 over the canonical JSON of every other field, so
+        no field boundary can move without changing the digest.
+        """
+        return blake2b_hex(
+            canonical_json(
+                {
+                    "action": self.action,
+                    "allowed": self.allowed,
+                    "previous_digest": self.previous_digest,
+                    "principal": self.principal,
+                    "resource": self.resource,
+                    "sequence": self.sequence,
+                }
+            ),
+            32,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class AuditLog:
@@ -121,8 +133,8 @@ class AuditLog:
         """True when no record has been altered or removed.
 
         The walk is the audit trail's
-        (:func:`~repro.observability.verify_events`); only the record
-        digest (SHA-256 over the pipe-joined fields) differs.
+        (:func:`~repro.observability.verify_events`) over
+        :meth:`AuditRecord.compute_digest`.
         """
         return verify_events(self._records).ok
 

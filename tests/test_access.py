@@ -7,7 +7,13 @@ import dataclasses
 import pytest
 
 from repro.errors import AccessDeniedError, SafeguardError
-from repro.safeguards import AccessController, Action, AuditLog, Grant
+from repro.safeguards import (
+    AccessController,
+    Action,
+    AuditLog,
+    AuditRecord,
+    Grant,
+)
 
 
 class TestGrant:
@@ -98,6 +104,21 @@ class TestAuditLog:
         log.append("bob", Action.READ, "dump", False)
         record = log._records[0]
         log._records[0] = dataclasses.replace(record, allowed=False)
+        assert not log.verify_chain()
+
+    def test_field_boundaries_are_bound_by_digest(self):
+        first = AuditRecord(0, "a|read", "x", "ds", True, "g")
+        second = AuditRecord(0, "a", "read|x", "ds", True, "g")
+        assert first.compute_digest() != second.compute_digest()
+
+    def test_boundary_shift_breaks_chain(self):
+        log = AuditLog()
+        log.append("a|read", "x", "ds", True)
+        log.append("bob", Action.READ, "ds", False)
+        record = log._records[0]
+        log._records[0] = dataclasses.replace(
+            record, principal="a", action="read|x"
+        )
         assert not log.verify_chain()
 
     def test_removal_breaks_chain(self):

@@ -9,12 +9,10 @@ from repro.observability import (
     NULL_METRICS,
     AuditTrail,
     MetricsRegistry,
-    Tracer,
     load_events,
     registry_from_events,
     render_otlp,
     render_prometheus,
-    span_forest,
 )
 
 
@@ -232,13 +230,7 @@ class TestOtlpRenderer:
         registry.counter("events").inc(4)
         registry.gauge("ratio").set(0.5)
         registry.histogram("lat").observe(0.1)
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        document = json.loads(
-            render_otlp(registry.snapshot(), tracer.finished)
-        )
+        document = json.loads(render_otlp(registry.snapshot()))
         metrics = document["resourceMetrics"][0]["scopeMetrics"][0][
             "metrics"
         ]
@@ -253,42 +245,7 @@ class TestOtlpRenderer:
         point = by_name["lat"]["histogram"]["dataPoints"][0]
         assert point["count"] == "1"
         assert point["explicitBounds"] == list(BUCKET_BOUNDS)
-        spans = document["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        assert [span["name"] for span in spans] == ["outer", "inner"]
-        assert spans[1]["parentSpanId"] == spans[0]["spanId"]
-        assert spans[0].get("parentSpanId") is None
-
-    def test_span_ids_deterministic(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        registry = MetricsRegistry()
-        first = render_otlp(registry.snapshot(), tracer.finished)
-        second = render_otlp(registry.snapshot(), tracer.finished)
-        assert first == second
-
-
-class TestSpanForest:
-    def test_nesting_reconstructed(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child.a"):
-                pass
-            with tracer.span("child.b"):
-                with tracer.span("leaf"):
-                    pass
-        forest = span_forest(tracer.finished)
-        assert len(forest) == 1
-        root = forest[0]
-        assert root["name"] == "root"
-        assert [c["name"] for c in root["children"]] == [
-            "child.a",
-            "child.b",
-        ]
-        assert root["children"][1]["children"][0]["name"] == "leaf"
-
-    def test_empty_input(self):
-        assert span_forest(()) == []
+        assert set(document) == {"resourceMetrics"}
 
 
 class TestRegistryFromEvents:
@@ -324,6 +281,9 @@ class TestRegistryFromEvents:
             registry_from_events(events).snapshot()
         )
         assert first == second
+        assert render_otlp(
+            registry_from_events(events).snapshot()
+        ) == render_otlp(registry_from_events(events).snapshot())
 
     def test_empty_chain(self):
         snapshot = registry_from_events([]).snapshot()

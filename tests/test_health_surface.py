@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from repro._util import blake2b_hex, canonical_json
 from repro.cli.main import main
 from repro.errors import (
     BatchError,
@@ -33,8 +34,10 @@ from repro.errors import (
 )
 from repro.observability import (
     BUCKET_BOUNDS,
+    GENESIS_DIGEST,
     FlightRecorder,
     Histogram,
+    IncidentBundle,
     Observer,
     RequestSample,
     SloSpec,
@@ -382,7 +385,7 @@ class TestFlightRecorder:
     def test_incident_dump_verifies(self, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
         recorder.record_event("ops", "request-failed", "x", {})
-        recorder.record_span("stage.anonymize", 1)
+        recorder.record_event("ops", "batch-finished", "", {})
         recorder.record_metric("ops.batch.failed", 1)
         bundle = recorder.incident(
             "unit-test", reason="because", extra=7
@@ -398,6 +401,60 @@ class TestFlightRecorder:
         assert envelope["reason"] == "because"
         assert envelope["context"]["extra"] == 7
         assert bundle.digest() == verify_digest(text)
+
+    def test_bundle_with_span_frames_still_verifies(
+        self, tmp_path, capsys
+    ):
+        # Bundles dumped by earlier versions ring span frames (name
+        # and depth); the loader, verifier and `obs incident` keep
+        # accepting them.
+        frames = [
+            {
+                "kind": "event",
+                "category": "pipeline",
+                "action": "stage-applied",
+                "subject": "anonymize",
+                "detail": {"chunk": 0},
+            },
+            {"kind": "span", "name": "stage.anonymize", "depth": 1},
+        ]
+        records, previous = [], GENESIS_DIGEST
+        for index, frame in enumerate(frames):
+            digest = blake2b_hex(
+                canonical_json(
+                    {
+                        "frame": frame,
+                        "index": index,
+                        "previous_digest": previous,
+                    }
+                ),
+                32,
+            )
+            records.append(
+                {
+                    "digest": digest,
+                    "frame": frame,
+                    "index": index,
+                    "previous_digest": previous,
+                }
+            )
+            previous = digest
+        bundle = IncidentBundle(
+            kind="stage-failure",
+            sequence=0,
+            records=tuple(records),
+            dropped=0,
+            tail_digest=previous,
+        )
+        path = tmp_path / "incident-000-stage-failure.jsonl"
+        path.write_text(bundle.to_jsonl(), encoding="utf-8")
+        verification = verify_bundle_text(bundle.to_jsonl())
+        assert verification.ok
+        assert verification.length == 2
+        assert main(["obs", "incident", str(path), "--tail", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "chain intact" in out
+        assert "span stage.anonymize (depth 1)" in out
 
     def test_tampered_bundle_localized(self, tmp_path):
         recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)

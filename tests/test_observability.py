@@ -334,17 +334,34 @@ class TestTracing:
         active = Tracer(registry)
         with active.span("stage.seal"):
             with active.span("stage.seal.inner"):
-                pass
+                assert active.active_span == "stage.seal.inner"
+            assert active.active_span == "stage.seal"
+        assert active.active_span == ""
         summary = active.summary()
         assert summary["stage.seal"]["count"] == 1
         assert summary["stage.seal.inner"]["count"] == 1
-        records = {r.name: r for r in active.finished}
-        assert records["stage.seal"].depth == 0
-        assert records["stage.seal.inner"].depth == 1
-        snapshot = registry.snapshot()
-        assert snapshot["histograms"]["span.stage.seal.seconds"][
-            "count"
-        ] == 1
+        histograms = registry.snapshot()["histograms"]
+        for name, entry in summary.items():
+            histogram = histograms[f"span.{name}.seconds"]
+            assert entry == {
+                "count": histogram["count"],
+                "seconds": histogram["total"],
+            }
+        # The inner span's time is part of the outer span's.
+        assert (
+            summary["stage.seal"]["seconds"]
+            >= summary["stage.seal.inner"]["seconds"]
+        )
+
+    def test_many_spans_keep_no_per_span_state(self):
+        active = Tracer(MetricsRegistry())
+        for _ in range(10_000):
+            with active.span("stage.seal"):
+                pass
+        assert active.summary()["stage.seal"]["count"] == 10_000
+        # Only the registry and the (now empty) open-span stack.
+        assert set(vars(active)) == {"_metrics", "_active"}
+        assert active._active == []
 
     def test_null_tracer_shared_singleton(self):
         span_a = NULL_TRACER.span("a")
@@ -411,7 +428,7 @@ class TestObserverSwitch:
 
 
 class TestCliEndToEnd:
-    def _run_pipeline(self, log_path, capsys) -> dict:
+    def _run_pipeline(self, log_path, capsys, *extra: str) -> dict:
         status = cli_main(
             [
                 "pipeline",
@@ -421,6 +438,7 @@ class TestCliEndToEnd:
                 "5",
                 "--audit-log",
                 str(log_path),
+                *extra,
             ]
         )
         output = capsys.readouterr().out
@@ -437,6 +455,25 @@ class TestCliEndToEnd:
         )
         assert cli_main(["audit", "verify", str(log_path)]) == 0
         capsys.readouterr()
+
+    def test_span_counts_invariant_under_workers(
+        self, tmp_path, capsys
+    ):
+        counts = []
+        for workers in (1, 2):
+            payload = self._run_pipeline(
+                tmp_path / f"audit-w{workers}.jsonl",
+                capsys,
+                "--workers",
+                str(workers),
+            )
+            spans = payload["observability"]["spans"]
+            counts.append(
+                {name: entry["count"] for name, entry in spans.items()}
+            )
+        assert counts[0] == counts[1]
+        assert counts[0]["pipeline.run"] == 1
+        assert counts[0]["stage.seal"] >= 1
 
     def test_flipped_byte_fails_cli_verify(self, tmp_path, capsys):
         log_path = tmp_path / "audit.jsonl"
