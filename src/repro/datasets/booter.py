@@ -49,9 +49,6 @@ class BooterUser:
     registration_day: int
     last_login_ip: str
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class AttackRecord:
@@ -62,9 +59,6 @@ class AttackRecord:
     method: str
     duration_seconds: int
     day: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +86,17 @@ class PricingPlan:
     price_usd: float
 
 
+#: Row class of each table, in the order :meth:`BooterDatabase.to_records`
+#: lists them.
+_TABLES = {
+    "users": BooterUser,
+    "attacks": AttackRecord,
+    "payments": PaymentRecord,
+    "tickets": TicketMessage,
+    "plans": PricingPlan,
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class BooterDatabase:
     """A complete synthetic booter dump."""
@@ -112,11 +117,8 @@ class BooterDatabase:
     def to_records(self) -> dict[str, list[dict]]:
         """Plain-dict views of every table, for generic tooling."""
         return {
-            "users": [u.to_dict() for u in self.users],
-            "attacks": [a.to_dict() for a in self.attacks],
-            "payments": [dataclasses.asdict(p) for p in self.payments],
-            "tickets": [dataclasses.asdict(t) for t in self.tickets],
-            "plans": [dataclasses.asdict(p) for p in self.plans],
+            table: [dataclasses.asdict(row) for row in getattr(self, table)]
+            for table in _TABLES
         }
 
 
@@ -141,97 +143,19 @@ class BooterDatabaseGenerator(SeededGenerator):
         users: int = 300,
         days: int = 90,
     ) -> BooterDatabase:
-        """Generate a complete booter database dump."""
-        if users <= 0 or days <= 0:
-            raise DatasetError("users and days must be positive")
-        user_rows = []
-        for user_id in range(users):
-            username = self.username()
-            user_rows.append(
-                BooterUser(
-                    user_id=user_id,
-                    username=username,
-                    email=self.email(username),
-                    password_hash=hashlib.sha1(
-                        self.password().encode()
-                    ).hexdigest(),
-                    security_question="first pet's name",
-                    registration_day=self.rng.randrange(days),
-                    last_login_ip=self.ipv4(),
-                )
-            )
-        plans = self.DEFAULT_PLANS
-        payments = []
-        heavy = max(1, users // 10)
-        attacks = []
-        attack_id = 0
-        payment_id = 0
-        for user in user_rows:
-            is_heavy = user.user_id < heavy
-            # Many accounts register but never pay (the funnel the
-            # booter studies report); heavy users always subscribe.
-            if not is_heavy and self.rng.random() < 0.4:
-                continue
-            plan = plans[2] if is_heavy else self.rng.choice(plans[:2])
-            subscriptions = self.rng.randrange(1, 4 if is_heavy else 2)
-            for _ in range(subscriptions):
-                payments.append(
-                    PaymentRecord(
-                        payment_id=payment_id,
-                        user_id=user.user_id,
-                        plan=plan.name,
-                        amount_usd=plan.price_usd,
-                        day=self.rng.randrange(
-                            user.registration_day, days
-                        ),
-                    )
-                )
-                payment_id += 1
-            count = (
-                self.rng.randrange(20, 80)
-                if is_heavy
-                else self.rng.randrange(0, 8)
-            )
-            for _ in range(count):
-                # Amplification methods dominate real booter logs.
-                if self.rng.random() < 0.8:
-                    method = self.rng.choice(ATTACK_METHODS[:4])
-                else:
-                    method = self.rng.choice(ATTACK_METHODS[4:])
-                attacks.append(
-                    AttackRecord(
-                        attack_id=attack_id,
-                        user_id=user.user_id,
-                        target_ip=self.ipv4(),
-                        target_port=self.rng.choice(
-                            (80, 443, 25565, 3074, 53)
-                        ),
-                        method=method,
-                        duration_seconds=self.rng.randrange(
-                            30, plan.max_duration_seconds
-                        ),
-                        day=self.rng.randrange(
-                            user.registration_day, days
-                        ),
-                    )
-                )
-                attack_id += 1
-        tickets = tuple(
-            TicketMessage(
-                ticket_id=i,
-                user_id=self.rng.randrange(users),
-                day=self.rng.randrange(days),
-                text=self.sentence(10),
-            )
-            for i in range(users // 5)
-        )
+        """Generate a complete booter database dump.
+
+        A fold over the record stream: each row becomes its table's
+        dataclass, so a fresh generator with the same seed builds
+        exactly the dump :meth:`iter_records` streams.
+        """
+        rows: dict[str, list] = {table: [] for table in _TABLES}
+        for chunk in self.iter_records(users=users, days=days):
+            for row in chunk:
+                table = row.pop("_table")
+                rows[table].append(_TABLES[table](**row))
         return BooterDatabase(
-            name=name,
-            users=tuple(user_rows),
-            attacks=tuple(attacks),
-            payments=tuple(payments),
-            tickets=tickets,
-            plans=plans,
+            name=name, **{table: tuple(r) for table, r in rows.items()}
         )
 
     def iter_records(
@@ -244,11 +168,8 @@ class BooterDatabaseGenerator(SeededGenerator):
     ) -> Iterator[list[dict]]:
         """Stream the dump as chunks of dicts tagged with ``_table``.
 
-        Draws from the RNG in exactly the order :meth:`generate`
-        does, so a fresh generator with the same seed streams the
-        same synthetic dump that the materialised path would build —
-        but only ever holds one chunk of attack/payment/ticket rows
-        (plus the user table, which the payment loop needs) in
+        Holds only one chunk of attack/payment/ticket rows (plus the
+        users' registration days, which the payment loop needs) in
         memory. Records arrive in generation order: users first, then
         each paying user's payments and attacks interleaved, then
         tickets, then plans; flattened output is ``chunk_size``
@@ -259,90 +180,82 @@ class BooterDatabaseGenerator(SeededGenerator):
         return chunked(self._iter_flat(users, days), chunk_size)
 
     def _iter_flat(self, users: int, days: int) -> Iterator[dict]:
-        """Flat record stream mirroring :meth:`generate` RNG order."""
-        user_rows = []
+        """The one RNG walk: every row as a dict tagged with ``_table``.
+
+        Rows are dict literals with keys in their dataclass's field
+        order, and their values are drawn in that order, so the RNG
+        draw order is part of the schema.
+        """
+        rng = self.rng
+        registration_days = []
         for user_id in range(users):
             username = self.username()
-            user = BooterUser(
-                user_id=user_id,
-                username=username,
-                email=self.email(username),
-                password_hash=hashlib.sha1(
+            row = {
+                "user_id": user_id,
+                "username": username,
+                "email": self.email(username),
+                "password_hash": hashlib.sha1(
                     self.password().encode()
                 ).hexdigest(),
-                security_question="first pet's name",
-                registration_day=self.rng.randrange(days),
-                last_login_ip=self.ipv4(),
-            )
-            user_rows.append(user)
-            row = user.to_dict()
-            row["_table"] = "users"
+                "security_question": "first pet's name",
+                "registration_day": rng.randrange(days),
+                "last_login_ip": self.ipv4(),
+                "_table": "users",
+            }
+            registration_days.append(row["registration_day"])
             yield row
         plans = self.DEFAULT_PLANS
         heavy = max(1, users // 10)
         attack_id = 0
         payment_id = 0
-        for user in user_rows:
-            is_heavy = user.user_id < heavy
-            if not is_heavy and self.rng.random() < 0.4:
+        for user_id, registered in enumerate(registration_days):
+            is_heavy = user_id < heavy
+            # Many accounts register but never pay (the funnel the
+            # booter studies report); heavy users always subscribe.
+            if not is_heavy and rng.random() < 0.4:
                 continue
-            plan = plans[2] if is_heavy else self.rng.choice(plans[:2])
-            subscriptions = self.rng.randrange(1, 4 if is_heavy else 2)
+            plan = plans[2] if is_heavy else rng.choice(plans[:2])
+            subscriptions = rng.randrange(1, 4 if is_heavy else 2)
             for _ in range(subscriptions):
-                row = dataclasses.asdict(
-                    PaymentRecord(
-                        payment_id=payment_id,
-                        user_id=user.user_id,
-                        plan=plan.name,
-                        amount_usd=plan.price_usd,
-                        day=self.rng.randrange(
-                            user.registration_day, days
-                        ),
-                    )
-                )
+                yield {
+                    "payment_id": payment_id,
+                    "user_id": user_id,
+                    "plan": plan.name,
+                    "amount_usd": plan.price_usd,
+                    "day": rng.randrange(registered, days),
+                    "_table": "payments",
+                }
                 payment_id += 1
-                row["_table"] = "payments"
-                yield row
             count = (
-                self.rng.randrange(20, 80)
-                if is_heavy
-                else self.rng.randrange(0, 8)
+                rng.randrange(20, 80) if is_heavy else rng.randrange(0, 8)
             )
             for _ in range(count):
-                if self.rng.random() < 0.8:
-                    method = self.rng.choice(ATTACK_METHODS[:4])
+                # Amplification methods dominate real booter logs.
+                if rng.random() < 0.8:
+                    method = rng.choice(ATTACK_METHODS[:4])
                 else:
-                    method = self.rng.choice(ATTACK_METHODS[4:])
-                row = AttackRecord(
-                    attack_id=attack_id,
-                    user_id=user.user_id,
-                    target_ip=self.ipv4(),
-                    target_port=self.rng.choice(
-                        (80, 443, 25565, 3074, 53)
-                    ),
-                    method=method,
-                    duration_seconds=self.rng.randrange(
+                    method = rng.choice(ATTACK_METHODS[4:])
+                yield {
+                    "attack_id": attack_id,
+                    "user_id": user_id,
+                    "target_ip": self.ipv4(),
+                    "target_port": rng.choice((80, 443, 25565, 3074, 53)),
+                    "method": method,
+                    "duration_seconds": rng.randrange(
                         30, plan.max_duration_seconds
                     ),
-                    day=self.rng.randrange(
-                        user.registration_day, days
-                    ),
-                ).to_dict()
+                    "day": rng.randrange(registered, days),
+                    "_table": "attacks",
+                }
                 attack_id += 1
-                row["_table"] = "attacks"
-                yield row
         for ticket_id in range(users // 5):
-            row = dataclasses.asdict(
-                TicketMessage(
-                    ticket_id=ticket_id,
-                    user_id=self.rng.randrange(users),
-                    day=self.rng.randrange(days),
-                    text=self.sentence(10),
-                )
-            )
-            row["_table"] = "tickets"
-            yield row
+            yield {
+                "ticket_id": ticket_id,
+                "user_id": rng.randrange(users),
+                "day": rng.randrange(days),
+                "text": self.sentence(10),
+                "_table": "tickets",
+            }
         for plan in plans:
-            row = dataclasses.asdict(plan)
-            row["_table"] = "plans"
-            yield row
+            # A plain dataclass's __dict__ holds its fields in order.
+            yield {**vars(plan), "_table": "plans"}

@@ -53,6 +53,12 @@ WORDS = (
     "willow", "hazel", "comet", "pixel", "raven", "storm",
 )
 
+#: First octets :meth:`SeededGenerator.ipv4` draws from: unicast space
+#: minus the most special-cased /8s. The order is part of the draw.
+_FIRST_OCTETS = tuple(
+    n for n in range(1, 224) if n not in (10, 127, 172, 192)
+)
+
 
 def chunked(
     records: Iterator[dict], chunk_size: int
@@ -155,20 +161,11 @@ class SeededGenerator:
         prefixes; these addresses never need to correspond to real
         hosts.
         """
-        if public_looking:
-            first = self.rng.choice(
-                [n for n in range(1, 224) if n not in (10, 127, 172, 192)]
-            )
-        else:
-            first = 10
-        return ".".join(
-            str(octet)
-            for octet in (
-                first,
-                self.rng.randrange(256),
-                self.rng.randrange(256),
-                self.rng.randrange(1, 255),
-            )
+        rng = self.rng
+        first = rng.choice(_FIRST_OCTETS) if public_looking else 10
+        return (
+            f"{first}.{rng.randrange(256)}.{rng.randrange(256)}"
+            f".{rng.randrange(1, 255)}"
         )
 
     def password(self) -> str:

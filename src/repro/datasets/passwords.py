@@ -76,20 +76,16 @@ class PasswordDumpGenerator(SeededGenerator):
         users: int = 1000,
         style: str = "plaintext",
     ) -> PasswordDump:
-        """Generate one dump in the given style."""
-        if style not in self.STYLES:
-            raise DatasetError(
-                f"unknown dump style {style!r}; one of {self.STYLES}"
-            )
-        if users <= 0:
-            raise DatasetError("users must be positive")
+        """Generate one dump in the given style.
+
+        A fold over the record stream, so the same seed builds exactly
+        the accounts :meth:`iter_records` streams.
+        """
         records = []
-        for user_id in range(users):
-            username = self.username()
-            password = self.password()
-            records.append(
-                self._record(user_id, username, password, style)
-            )
+        for chunk in self.iter_records(users=users, style=style):
+            for row in chunk:
+                del row["_table"]
+                records.append(PasswordRecord(**row))
         return PasswordDump(
             site=site, style=style, records=tuple(records)
         )
@@ -104,9 +100,7 @@ class PasswordDumpGenerator(SeededGenerator):
     ) -> Iterator[list[dict]]:
         """Stream the dump as chunks of dicts tagged with ``_table``.
 
-        RNG call order matches :meth:`generate`, so the same seed
-        streams the same accounts the materialised dump would hold;
-        flattened output is ``chunk_size`` invariant.
+        Flattened output is ``chunk_size`` invariant.
         """
         if style not in self.STYLES:
             raise DatasetError(
@@ -117,37 +111,30 @@ class PasswordDumpGenerator(SeededGenerator):
         return chunked(self._iter_flat(users, style), chunk_size)
 
     def _iter_flat(self, users: int, style: str) -> Iterator[dict]:
-        """Flat account stream mirroring :meth:`generate` RNG order."""
+        """The one RNG walk: each account as a dict in field order."""
         for user_id in range(users):
             username = self.username()
             password = self.password()
-            row = self._record(user_id, username, password, style).to_dict()
-            row["_table"] = "accounts"
-            yield row
-
-    def _record(
-        self, user_id: int, username: str, password: str, style: str
-    ) -> PasswordRecord:
-        salt = ""
-        digest = ""
-        plaintext = password
-        if style in ("hashed", "salted"):
-            if style == "salted":
-                salt = f"{self.rng.getrandbits(32):08x}"
-            digest = hashlib.sha1(
-                (salt + password).encode("utf-8")
-            ).hexdigest()
-            plaintext = ""
-        return PasswordRecord(
-            user_id=user_id,
-            username=username,
-            # Embed the account id so emails are unique per account,
-            # as in real dumps (emails are account keys).
-            email=self.email(f"{username}.{user_id}"),
-            password=plaintext,
-            password_hash=digest,
-            salt=salt,
-        )
+            salt = ""
+            digest = ""
+            if style in ("hashed", "salted"):
+                if style == "salted":
+                    salt = f"{self.rng.getrandbits(32):08x}"
+                digest = hashlib.sha1(
+                    (salt + password).encode("utf-8")
+                ).hexdigest()
+                password = ""
+            yield {
+                "user_id": user_id,
+                "username": username,
+                # Embed the account id so emails are unique per
+                # account, as in real dumps (emails are account keys).
+                "email": self.email(f"{username}.{user_id}"),
+                "password": password,
+                "password_hash": digest,
+                "salt": salt,
+                "_table": "accounts",
+            }
 
     def generate_pair(
         self,

@@ -130,13 +130,13 @@ class AuditEvent:
         """Parse one JSONL line back into an event.
 
         Raises :class:`~repro.errors.SafeguardError` when the line is
-        not valid JSON, misses a required field or holds a field of
-        the wrong type — callers verifying a file turn that into a
-        localized corruption report.
+        not valid JSON (or nests too deep to parse), misses a required
+        field or holds a field of the wrong type — callers verifying a
+        file turn that into a localized corruption report.
         """
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SafeguardError(
                 f"audit record is not valid JSON: {exc}"
             ) from exc

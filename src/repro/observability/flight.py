@@ -433,7 +433,7 @@ def load_bundle_text(text: str) -> tuple[dict, list[dict], dict]:
             continue
         try:
             body = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SafeguardError(
                 f"incident bundle line {number} is not JSON: {exc}"
             ) from exc

@@ -110,14 +110,14 @@ class BatchResult:
 
 
 def _parse_request(
-    path: str | Path, number: int, line: str, index: int
+    path: str | Path, number: int, line: bytes, index: int
 ) -> BatchRequest | None:
     """Parse one raw line; ``None`` for blanks, BatchError otherwise."""
     if not line.strip():
         return None
     try:
-        body = json.loads(line)
-    except json.JSONDecodeError as exc:
+        body = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise BatchError(
             f"{path}:{number}: invalid JSON: {exc}"
         ) from exc
@@ -144,15 +144,16 @@ def _parse_request(
 def load_requests(path: str | Path) -> tuple[BatchRequest, ...]:
     """Parse a JSONL request file; blank lines are skipped.
 
-    Every line must be a JSON object with an ``op`` string and an
-    optional ``args`` object; anything else raises
+    Every line must be UTF-8 encoding a JSON object with an ``op``
+    string and an optional ``args`` object; anything else (nesting
+    too deep to parse included) raises
     :class:`~repro.errors.BatchError` naming the offending line.
     The file is streamed line by line, so a 100k-request file is
     never held in memory twice (once raw, once parsed).
     """
     requests: list[BatchRequest] = []
     try:
-        with Path(path).open(encoding="utf-8") as stream:
+        with Path(path).open("rb") as stream:
             for number, line in enumerate(stream, start=1):
                 request = _parse_request(
                     path, number, line, len(requests)

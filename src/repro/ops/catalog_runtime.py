@@ -360,7 +360,7 @@ def _run_obs_top(request: dict, ctx: RunContext) -> OpResponse:
 
     try:
         text = Path(request["profile"]).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SafeguardError(
             f"cannot read profile {request['profile']!r}: {exc}"
         ) from exc
@@ -438,15 +438,16 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
 
     try:
         raw = Path(request["spec"]).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SafeguardError(
             f"cannot read SLO spec {request['spec']!r}: {exc}"
         ) from exc
     try:
         body = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise OperationError(
-            f"invalid SLO spec: not valid JSON: {exc}"
+            f"invalid SLO spec {request['spec']!r}: not valid JSON: "
+            f"{exc}"
         ) from exc
     spec = SloSpec.from_dict(body)
     series = windows_from_events(
@@ -479,7 +480,10 @@ def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
             f"cannot read incident bundle "
             f"{request['bundle']!r}: {exc}"
         ) from exc
-    header, records, envelope = load_bundle_text(text)
+    try:
+        header, records, envelope = load_bundle_text(text)
+    except SafeguardError as exc:
+        raise SafeguardError(f"{request['bundle']}: {exc}") from exc
     verification = verify_bundle_text(text)
     payload = {
         "dropped": header["dropped"],

@@ -82,13 +82,13 @@ def load_pack(path: str | Path) -> dict:
     pack_path = Path(path)
     try:
         text = pack_path.read_text(encoding="utf-8")  # repro: noqa[R8] pack bytes are digested into pack-scoped cache keys, so the read cannot serve a stale cached result
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PolicyError(
             f"cannot read policy pack {str(pack_path)!r}: {exc}"
         ) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PolicyError(
             f"policy pack {str(pack_path)!r} is not valid JSON: {exc}"
         ) from exc

@@ -1,4 +1,4 @@
-"""Malformed audit logs and incident bundles give one typed error line.
+"""Malformed input files give one typed error line, never a traceback.
 
 Every externally supplied file must surface as a :class:`ReproError`
 through the CLI's failure table — exit 1 with a single ``error:``
@@ -13,6 +13,13 @@ import json
 import pytest
 
 from repro.cli.main import main
+from repro.errors import (
+    BatchError,
+    OperationError,
+    PolicyError,
+    SafeguardError,
+)
+from repro.ops.failures import describe_failure
 
 _HEADER = {
     "bundle": "repro-incident",
@@ -108,3 +115,93 @@ def test_malformed_input_exits_1_with_one_line(case, tmp_path, capsys):
         assert errors[0].startswith("error: ")
     else:
         assert "CORRUPT at record 0" in captured.out
+
+
+_NOT_UTF8 = b'{"op": "x\xff"}\n'
+_TOO_DEEP = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+#: A file each reader cannot decode: (argv, content, the reader's
+#: typed error, the location its message must name). ``None`` for
+#: the error means a ``CORRUPT`` diagnosis instead of an error line.
+READER_CASES = {
+    "batch-not-utf8": (
+        ["batch", "{path}"], _NOT_UTF8, BatchError, "{path}:1:"
+    ),
+    "batch-too-deep": (
+        ["batch", "{path}"], _TOO_DEEP, BatchError, "{path}:1:"
+    ),
+    "pack-validate-not-utf8": (
+        ["policy", "validate", "--pack", "{path}"],
+        _NOT_UTF8,
+        PolicyError,
+        "{path}",
+    ),
+    "pack-validate-too-deep": (
+        ["policy", "validate", "--pack", "{path}"],
+        _TOO_DEEP,
+        PolicyError,
+        "{path}",
+    ),
+    "pack-assess-not-utf8": (
+        ["policy", "assess", "--pack", "{path}"],
+        _NOT_UTF8,
+        PolicyError,
+        "{path}",
+    ),
+    "pack-assess-too-deep": (
+        ["policy", "assess", "--pack", "{path}"],
+        _TOO_DEEP,
+        PolicyError,
+        "{path}",
+    ),
+    "slo-spec-not-utf8": (
+        ["obs", "slo", "{path}", "{log}"],
+        _NOT_UTF8,
+        SafeguardError,
+        "{path}",
+    ),
+    "slo-spec-too-deep": (
+        ["obs", "slo", "{path}", "{log}"],
+        _TOO_DEEP,
+        OperationError,
+        "{path}",
+    ),
+    "audit-verify-too-deep": (
+        ["audit", "verify", "{path}"], _TOO_DEEP, None, "{path} line 1"
+    ),
+    "bundle-too-deep": (
+        ["obs", "incident", "{path}"],
+        _TOO_DEEP,
+        SafeguardError,
+        "{path}: incident bundle line 1",
+    ),
+    "profile-not-utf8": (
+        ["obs", "top", "{path}"], _NOT_UTF8, SafeguardError, "{path}"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_undecodable_file_gives_the_readers_typed_error(
+    case, tmp_path, capsys
+):
+    argv, content, error_class, where = READER_CASES[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    log = tmp_path / "empty.jsonl"
+    log.write_bytes(b"")
+    code = main([arg.format(path=path, log=log) for arg in argv])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    where = where.format(path=path)
+    if error_class is None:
+        assert code == 1
+        assert captured.err == ""
+        assert "CORRUPT at record 0" in captured.out
+        assert where in captured.out
+        return
+    assert code == describe_failure(error_class("probe"))[1]
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ")
+    assert where in errors[0]

@@ -292,12 +292,15 @@ class TestStreamingGenerators:
             )
             for record in chunk
         ]
-        streamed_attacks = [
-            {k: v for k, v in r.items() if k != "_table"}
-            for r in flat
-            if r["_table"] == "attacks"
-        ]
-        assert streamed_attacks == database.to_records()["attacks"]
+        tables = database.to_records()
+        for table, rows in tables.items():
+            streamed = [
+                {k: v for k, v in r.items() if k != "_table"}
+                for r in flat
+                if r["_table"] == table
+            ]
+            assert streamed == rows, table
+        assert len(flat) == sum(len(rows) for rows in tables.values())
 
     def test_chunk_size_only_batches(self):
         def flatten(chunk_size):
