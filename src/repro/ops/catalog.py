@@ -17,7 +17,6 @@ systematization operations defined here plus the runtime ones from
 
 from __future__ import annotations
 
-from ..errors import OperationError
 from .context import RunContext
 from .spec import Arg, Operation, OperationRegistry, OpResponse
 
@@ -149,25 +148,13 @@ def _run_lint(request: dict, ctx: RunContext) -> OpResponse:
         for part in request["select"].split(",")
         if part.strip()
     )
-    if request["changed"] and (
-        select or request["path"] or request["no_cache"]
-    ):
-        raise OperationError(
-            "--changed needs the incremental cache of a full-rule "
-            "run over the repro package; it cannot combine with "
-            "--select, --path or --no-cache"
-        )
     if request["path"] is not None:
         registry = lint_registry()
         if select:
             registry = registry.select(select)
         findings = LintEngine(registry).lint_package(request["path"])
     else:
-        findings = lint_repo(
-            select,
-            incremental=not request["no_cache"],
-            changed_only=request["changed"],
-        )
+        findings = lint_repo(select)
     if request["format"] == "json":
         output = render_json(findings)
         text = output + "\n" if output else ""
@@ -822,24 +809,6 @@ def _operations() -> tuple[Operation, ...]:
                         "follows paths relative to it; the "
                         "suppression baseline applies only to the "
                         "package)"
-                    ),
-                ),
-                Arg(
-                    "--changed",
-                    flag=True,
-                    help=(
-                        "report only files whose content digest "
-                        "differs from the incremental lint cache "
-                        "(whole-program rules rerun when any byte "
-                        "of the tree moved)"
-                    ),
-                ),
-                Arg(
-                    "--no-cache",
-                    flag=True,
-                    help=(
-                        "disable the content-addressed incremental "
-                        "findings cache for this run"
                     ),
                 ),
             ),

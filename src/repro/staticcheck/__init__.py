@@ -42,22 +42,22 @@ the safeguards the reproduction implements (see
 
 R1–R7 and R10 judge one file at a time; R8/R9 are interprocedural and run on
 the once-per-run :class:`~repro.staticcheck.project.Project` graph
-(symbol table, import graph, call graph). Findings are cached
-content-addressed per file (:mod:`repro.staticcheck.cache`), so warm
-lints are near-instant and ``repro-ethics lint --changed`` reports
-only what a change could have affected.
+(symbol table, import graph, call graph). Each file is parsed once and
+walked once: rules read the per-module node index
+(:class:`~repro.staticcheck.engine.NodeIndex`), so a full lint is
+cheap enough to run cold every time.
 
 Run it as ``repro-ethics lint`` (text or JSON output, rule selection
-via ``--select``, ``--changed``/``--no-cache`` for the incremental
-machinery); ``repro-ethics verify`` includes the same gate.
+via ``--select``, another tree via ``--path``); ``repro-ethics verify``
+includes the same gate.
 """
 
 from .baseline import BASELINE, BaselineEntry, baseline_drift
-from .cache import LintCache, default_cache_path
 from .engine import (
     Finding,
     LintEngine,
     ModuleInfo,
+    NodeIndex,
     Rule,
     RuleRegistry,
     Suppression,
@@ -86,9 +86,9 @@ __all__ = [
     "DeterminismRule",
     "Finding",
     "LayeringRule",
-    "LintCache",
     "LintEngine",
     "ModuleInfo",
+    "NodeIndex",
     "PIILiteralRule",
     "PolicyLiteralRule",
     "Project",
@@ -101,7 +101,6 @@ __all__ = [
     "WorkerSafetyRule",
     "baseline_drift",
     "check_consistency",
-    "default_cache_path",
     "default_registry",
     "lint_repo",
     "package_root",
@@ -116,47 +115,23 @@ def lint_repo(
     select: tuple[str, ...] = (),
     *,
     with_baseline: bool = True,
-    incremental: bool = True,
-    changed_only: bool = False,
 ) -> list[Finding]:
     """Lint the installed ``repro`` package with the default rules.
 
     *select* restricts to the given rule ids; with *with_baseline*
     the baseline-drift pseudo-rule R0 findings are appended. This is
     the entry point the CLI, the verify gate and the self-test share.
-
-    *incremental* reuses content-addressed findings from the repo
-    cache (:func:`default_cache_path`) — only when the full rule set
-    runs, so a ``--select`` subset never clobbers the full-run cache.
-    *changed_only* limits output to files whose digest moved since
-    the cached run (the ``lint --changed`` fast path); stale-baseline
-    drift is not judged then, since unchanged files are not
-    re-examined. A ``--select`` subset judges staleness only for
-    entries whose rule ran — a skipped rule cannot prove its
-    exceptions fixed.
+    A ``--select`` subset judges staleness only for baseline entries
+    whose rule ran — a skipped rule cannot prove its exceptions fixed.
     """
     registry = default_registry()
     if select:
         registry = registry.select(select)
-    cache_path = (
-        default_cache_path() if incremental and not select else None
-    )
-    findings = LintEngine(registry).lint_package(
-        cache_path=cache_path,
-        changed_only=changed_only,
-    )
+    findings = LintEngine(registry).lint_package()
     if with_baseline:
-        baseline = BASELINE
-        if select:
-            ran = {rule.id for rule in registry}
-            baseline = tuple(
-                entry
-                for entry in BASELINE
-                if entry.rule_id in ran
-            )
-        findings.extend(
-            baseline_drift(
-                findings, baseline, stale=not changed_only
-            )
+        ran = {rule.id for rule in registry}
+        baseline = tuple(
+            entry for entry in BASELINE if entry.rule_id in ran
         )
+        findings.extend(baseline_drift(findings, baseline))
     return findings

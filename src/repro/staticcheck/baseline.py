@@ -78,15 +78,8 @@ BASELINE: tuple[BaselineEntry, ...] = (
 def baseline_drift(
     findings: Iterable[Finding],
     baseline: Sequence[BaselineEntry] = BASELINE,
-    *,
-    stale: bool = True,
 ) -> list[Finding]:
-    """R0 findings for unregistered suppressions and stale entries.
-
-    *stale* disables the stale-entry direction; a partial lint (the
-    ``--changed`` fast path sees only re-linted files) cannot judge
-    whether a registered exception still exists elsewhere.
-    """
+    """R0 findings for unregistered suppressions and stale entries."""
     findings = list(findings)
     drift: list[Finding] = []
     for finding in findings:
@@ -104,8 +97,6 @@ def baseline_drift(
                     ),
                 )
             )
-    if not stale:
-        return drift
     for entry in baseline:
         if not any(entry.matches(finding) for finding in findings):
             drift.append(

@@ -9,13 +9,17 @@ rules encode the safeguards the repro package claims to implement.
 Design
 ------
 
-* **One parse per file.** :class:`ModuleInfo` parses the source once;
-  the engine walks the resulting tree once, dispatching each node to
-  every rule registered for that node type. Rules never re-parse.
+* **One parse and one walk per file.** :class:`ModuleInfo` parses the
+  source once and indexes the tree once (:class:`NodeIndex`: every
+  node in ``ast.walk`` order, bucketed by exact node type). The
+  engine dispatches each indexed node to every rule registered for
+  its type, and rules read the index instead of walking the tree
+  themselves; a function body that a rule needs on its own is
+  indexed once too (:meth:`ModuleInfo.index_of`).
 * **Three rule granularities.** A rule may register for AST node
-  types (:attr:`Rule.node_types`), inspect the raw source of a module
-  (:meth:`Rule.check_module`), or run once over the whole package
-  (:meth:`Rule.check_project`), receiving the
+  types (:attr:`Rule.node_types`), inspect the raw source or index of
+  a module (:meth:`Rule.check_module`), or run once over the whole
+  package (:meth:`Rule.check_project`), receiving the
   :class:`~repro.staticcheck.project.Project` graph — symbol table,
   import graph and call graph — built exactly once per run. The
   semi-static consistency rule and both interprocedural rules
@@ -24,19 +28,12 @@ Design
   offending line marks a finding as suppressed; the engine keeps the
   finding (with its justification) so reporters and the baseline can
   account for every accepted exception.
-* **Findings are content-addressed.** :meth:`LintEngine.lint_package`
-  can reuse per-file findings from an incremental cache keyed on the
-  file digest and the rule-set signature (ids + versions), and fan
-  cold files out to a process pool — see
-  :mod:`repro.staticcheck.cache` and ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
-import json
 import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -51,6 +48,7 @@ __all__ = [
     "Finding",
     "LintEngine",
     "ModuleInfo",
+    "NodeIndex",
     "Rule",
     "RuleRegistry",
     "Suppression",
@@ -105,12 +103,52 @@ class Finding:
         )
 
 
+class NodeIndex:
+    """Every node under one root, in ``ast.walk`` order, by type.
+
+    Built by one walk; rules query it instead of walking again.
+    :meth:`of_type` returns nodes of *exactly* the given types (no
+    subclass matching — AST node classes are leaves) in walk order,
+    so a rule that takes "the first match" sees the same node an
+    ``ast.walk`` loop would.
+    """
+
+    __slots__ = ("nodes", "_by_type")
+
+    def __init__(self, root: ast.AST) -> None:
+        # The breadth-first order of ``ast.walk``, without its
+        # per-node generators: about twice as fast on this package.
+        nodes = [root]
+        append = nodes.append
+        for node in nodes:  # grows while iterating: a BFS queue
+            for field in node._fields:
+                value = getattr(node, field, None)
+                if isinstance(value, ast.AST):
+                    append(value)
+                elif isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, ast.AST):
+                            append(item)
+        by_type: dict[type[ast.AST], list[ast.AST]] = {}
+        for node in nodes:
+            by_type.setdefault(type(node), []).append(node)
+        self.nodes: tuple[ast.AST, ...] = tuple(nodes)
+        self._by_type = by_type
+
+    def of_type(self, *types: type[ast.AST]) -> list[ast.AST]:
+        """The nodes whose type is one of *types*, in walk order."""
+        if len(types) == 1:
+            return self._by_type.get(types[0], [])
+        return [node for node in self.nodes if type(node) in types]
+
+
 class ModuleInfo:
-    """A parsed source module: path, source, AST and suppressions.
+    """A parsed source module: path, source, AST, index, suppressions.
 
     ``relpath`` is the path relative to the linted package root (posix
     separators, e.g. ``"reporting/dmp.py"``) — rules match on it.
-    ``path`` is the display path used in findings.
+    ``path`` is the display path used in findings. ``index`` is the
+    :class:`NodeIndex` of the whole tree.
     """
 
     def __init__(
@@ -122,13 +160,17 @@ class ModuleInfo:
         self.lines: tuple[str, ...] = tuple(source.splitlines())
         try:
             self.tree: ast.Module = ast.parse(source)
-        except SyntaxError as exc:
+        except (SyntaxError, RecursionError) as exc:
+            # RecursionError: nesting too deep for the AST builder
+            # (``1+1+…`` with 10^5 terms), hostile but not a crash.
             raise StaticCheckError(
                 f"cannot parse {self.path}: {exc}"
             ) from exc
+        self.index = NodeIndex(self.tree)
+        self._subindexes: dict[int, NodeIndex] = {}
         self.suppressions: dict[int, Suppression] = {}
         for number, text in enumerate(self.lines, start=1):
-            match = _NOQA_RE.search(text)
+            match = "noqa" in text and _NOQA_RE.search(text)
             if match:
                 ids = frozenset(
                     part.strip()
@@ -141,6 +183,17 @@ class ModuleInfo:
                     justification=match.group(2).strip(),
                 )
         self._imports: dict[str, str] | None = None
+
+    def index_of(self, node: ast.AST) -> NodeIndex:
+        """The :class:`NodeIndex` of the subtree at *node* (memoised).
+
+        For rules that judge one function body at a time: each body
+        is walked at most once per run, however many rules ask.
+        """
+        index = self._subindexes.get(id(node))
+        if index is None:
+            index = self._subindexes[id(node)] = NodeIndex(node)
+        return index
 
     def import_aliases(self) -> dict[str, str]:
         """Map every imported local name to its dotted origin.
@@ -155,7 +208,7 @@ class ModuleInfo:
             return self._imports
         aliases: dict[str, str] = {}
         package_parts = ["repro", *self.relpath.split("/")[:-1]]
-        for node in ast.walk(self.tree):
+        for node in self.index.of_type(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for name in node.names:
                     local = name.asname or name.name.split(".")[0]
@@ -163,7 +216,7 @@ class ModuleInfo:
                         name.name if name.asname else name.name.split(".")[0]
                     )
                     aliases[local] = origin
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 if node.level:
                     base_parts = package_parts[
                         : len(package_parts) - (node.level - 1)
@@ -213,16 +266,15 @@ class Rule:
 
     Subclasses set :attr:`id`, :attr:`name` and :attr:`description`,
     then implement any of the three hooks. The engine guarantees each
-    file is parsed exactly once; :meth:`visit` receives nodes from the
-    engine's single walk of that tree.
+    file is parsed and walked exactly once; :meth:`visit` receives
+    nodes from that walk's :class:`NodeIndex`, and other hooks read
+    ``module.index`` (or :meth:`ModuleInfo.index_of` for one function
+    body) rather than calling ``ast.walk`` themselves.
     """
 
     id: str = ""
     name: str = ""
     description: str = ""
-    #: Bumped whenever the rule's logic changes, so the incremental
-    #: cache never serves findings computed by an older rule.
-    version: int = 1
     #: AST node types this rule wants dispatched to :meth:`visit`.
     node_types: tuple[type[ast.AST], ...] = ()
 
@@ -353,12 +405,19 @@ class LintEngine:
             for node_type in rule.node_types:
                 dispatch.setdefault(node_type, []).append(rule)
         findings: list[Finding] = []
-        if dispatch:
-            for node in ast.walk(module.tree):
-                for rule in dispatch.get(type(node), ()):
-                    findings.extend(rule.visit(node, module))
-        for rule in rules:
-            findings.extend(rule.check_module(module))
+        try:
+            if dispatch:
+                for node in module.index.of_type(*dispatch):
+                    for rule in dispatch[type(node)]:
+                        findings.extend(rule.visit(node, module))
+            for rule in rules:
+                findings.extend(rule.check_module(module))
+        except RecursionError as exc:
+            # A recursive rule (R1's taint walk) on an expression that
+            # parsed but nests too deeply: an error, not a crash.
+            raise StaticCheckError(
+                f"cannot lint {module.path}: {exc}"
+            ) from exc
         return [self._apply_suppression(f, module) for f in findings]
 
     @staticmethod
@@ -377,30 +436,7 @@ class LintEngine:
         )
 
     # -- package lint ---------------------------------------------------
-    def ruleset_signature(self) -> str:
-        """Digest of the registry's (id, version, class) tuples.
-
-        Part of every incremental-cache key: a rule upgrade, removal
-        or substitution changes the signature, so cached findings
-        computed under a different rule set are never served.
-        """
-        payload = json.dumps(
-            sorted(
-                (rule.id, rule.version, type(rule).__name__)
-                for rule in self.registry
-            )
-        )
-        return hashlib.blake2b(
-            payload.encode("utf-8"), digest_size=16
-        ).hexdigest()
-
-    def lint_package(
-        self,
-        root: Path | None = None,
-        *,
-        cache_path: Path | None = None,
-        changed_only: bool = False,
-    ) -> list[Finding]:
+    def lint_package(self, root: Path | None = None) -> list[Finding]:
         """Lint every ``.py`` file under *root* (default: ``repro``).
 
         Per-module rules run file by file; project rules run once at
@@ -409,14 +445,9 @@ class LintEngine:
         tree mirroring the package layout (``datasets/x.py``,
         ``reporting/x.py``) exercises the same scoping as the real
         source. Findings come back sorted by path then line.
-
-        *cache_path* enables the content-addressed incremental cache:
-        files whose digest matches the cache are served without being
-        parsed, and whole-program findings are reused while no byte
-        of the tree changed. *changed_only* reports per-file findings
-        only for files that missed the cache — plus whole-program
-        findings whenever the project graph changed.
         """
+        from .project import Project
+
         explicit_root = root is not None
         root = Path(root) if explicit_root else package_root()
         if not root.is_dir():
@@ -433,113 +464,35 @@ class LintEngine:
         else:
             prefix = "src/repro"
 
-        # relpath → (display, source, digest); one read per file, no
-        # parse yet — cache hits never pay for one.
-        entries: dict[str, tuple[str, str, str]] = {}
+        modules: dict[str, ModuleInfo] = {}
+        findings: list[Finding] = []
         for file in sorted(root.rglob("*.py")):
             relpath = file.relative_to(root).as_posix()
             display = (
                 f"{prefix}/{relpath}" if prefix != "." else relpath
             )
-            raw = file.read_bytes()
-            digest = hashlib.blake2b(
-                raw, digest_size=16
-            ).hexdigest()
-            entries[relpath] = (
-                display,
-                raw.decode("utf-8"),
-                digest,
-            )
-
-        cache = None
-        if cache_path is not None:
-            from .cache import LintCache
-
-            cache = LintCache.load(
-                cache_path, self.ruleset_signature()
-            )
-
-        module_findings: dict[str, list[Finding]] = {}
-        modules: dict[str, ModuleInfo] = {}
-        stale: list[str] = []
-        for relpath, (display, source, digest) in entries.items():
-            cached = (
-                cache.module_findings(relpath, digest)
-                if cache is not None
-                else None
-            )
-            if cached is not None:
-                module_findings[relpath] = cached
-            else:
-                stale.append(relpath)
-
-        for relpath in stale:
-            display, source, _ = entries[relpath]
+            try:
+                source = file.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StaticCheckError(
+                    f"cannot decode {display} as UTF-8: {exc}"
+                ) from exc
             module = ModuleInfo(source, relpath, display)
             modules[relpath] = module
-            module_findings[relpath] = self._lint_module(module)
+            findings.extend(self._lint_module(module))
 
-        # Whole-program findings, keyed on every file's digest plus
-        # the rule-set signature (via the cache file's guard).
-        hasher = hashlib.blake2b(digest_size=16)
-        for relpath in sorted(entries):
-            hasher.update(relpath.encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(entries[relpath][2].encode("utf-8"))
-            hasher.update(b"\x00")
-        project_key = hasher.hexdigest()
-
-        project_findings = (
-            cache.project_findings(project_key)
-            if cache is not None
-            else None
-        )
-        project_recomputed = project_findings is None
-        if project_recomputed:
-            from .project import Project
-
-            for relpath, (display, source, _) in entries.items():
-                if relpath not in modules:
-                    modules[relpath] = ModuleInfo(
-                        source, relpath, display
-                    )
-            project = Project(
-                [modules[r] for r in sorted(entries)],
-                {r: entries[r][2] for r in entries},
-            )
-            stripper = f"{prefix}/" if prefix != "." else ""
-            project_findings = []
-            for rule in self.registry:
-                for finding in rule.check_project(project):
-                    module = modules.get(
-                        finding.path.removeprefix(stripper)
-                        if stripper
-                        else finding.path
-                    )
-                    if module is not None:
-                        finding = self._apply_suppression(
-                            finding, module
-                        )
-                    project_findings.append(finding)
-
-        if cache is not None:
-            for relpath in stale:
-                cache.store_module(
-                    relpath,
-                    entries[relpath][2],
-                    module_findings[relpath],
+        project = Project([modules[r] for r in sorted(modules)])
+        stripper = f"{prefix}/" if prefix != "." else ""
+        for rule in self.registry:
+            for finding in rule.check_project(project):
+                module = modules.get(
+                    finding.path.removeprefix(stripper)
+                    if stripper
+                    else finding.path
                 )
-            if project_recomputed:
-                cache.store_project(project_key, project_findings)
-            cache.prune(list(entries))
-            cache.save()
-
-        reported = stale if changed_only else list(entries)
-        findings: list[Finding] = []
-        for relpath in reported:
-            findings.extend(module_findings[relpath])
-        if not changed_only or project_recomputed:
-            findings.extend(project_findings)
+                if module is not None:
+                    finding = self._apply_suppression(finding, module)
+                findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
         return findings
 

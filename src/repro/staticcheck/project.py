@@ -1,8 +1,8 @@
 """The project graph: whole-package symbols, imports and calls.
 
-The first seven rules judge one file at a time (plus the semi-static
-consistency rule, which imports data). The newest correctness
-contracts are *whole-program* properties — an operation declared
+Most rules judge one file at a time (R4, the semi-static consistency
+rule, imports data instead). Two correctness contracts are
+*whole-program* properties — an operation declared
 ``pure=True`` must reach no effect through any call chain, a function
 submitted to a process pool must be picklable by construction — and
 checking them needs a once-per-run view of the entire package.
@@ -24,10 +24,9 @@ exposes:
   in its body, with best-effort local inference (``x = Cls(...);
   x.method()`` resolves to ``Cls.method``, ``self.helper()`` resolves
   through the class and its bases, ``Path(p).read_text()`` resolves
-  to ``pathlib.Path.read_text``);
-* a **content digest** over every module source — the invalidation
-  key for cached whole-program findings, exactly like
-  ``RunContext``'s corpus digest invalidates cached pure results.
+  to ``pathlib.Path.read_text``), read from each function body's
+  :class:`~repro.staticcheck.engine.NodeIndex` so a body is walked at
+  most once however many rules ask about it.
 
 Resolution is deliberately an *under*-approximation: a call through a
 value of unknown type (``ctx.corpus()``, a parameter, a dict of
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 from collections.abc import Iterator, Mapping, Sequence
 
 from .engine import ModuleInfo
@@ -100,30 +98,17 @@ class Project:
     surface.
     """
 
-    def __init__(
-        self,
-        modules: Sequence[ModuleInfo],
-        file_digests: Mapping[str, str] | None = None,
-    ) -> None:
+    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules: tuple[ModuleInfo, ...] = tuple(modules)
         self._by_relpath = {m.relpath: m for m in self.modules}
         self._by_dotted = {
             module_dotted(m.relpath): m for m in self.modules
         }
-        if file_digests is None:
-            file_digests = {
-                m.relpath: hashlib.blake2b(
-                    m.source.encode("utf-8"), digest_size=16
-                ).hexdigest()
-                for m in self.modules
-            }
-        self._file_digests = dict(file_digests)
         self.functions: dict[str, FunctionSymbol] = {}
         self.classes: dict[str, ClassSymbol] = {}
         for module in self.modules:
             self._index_module(module)
         self._callees: dict[str, tuple[tuple[str, int], ...]] = {}
-        self._digest: str | None = None
 
     # -- construction ---------------------------------------------------
     def _index_module(self, module: ModuleInfo) -> None:
@@ -178,25 +163,6 @@ class Project:
     def module(self, relpath: str) -> ModuleInfo | None:
         """The module at package-relative *relpath*, if linted."""
         return self._by_relpath.get(relpath)
-
-    @property
-    def digest(self) -> str:
-        """Content digest over every (relpath, file digest) pair.
-
-        Any byte of any linted source changes this value — the
-        invalidation key for cached whole-program findings.
-        """
-        if self._digest is None:
-            hasher = hashlib.blake2b(digest_size=16)
-            for relpath in sorted(self._file_digests):
-                hasher.update(relpath.encode("utf-8"))
-                hasher.update(b"\x00")
-                hasher.update(
-                    self._file_digests[relpath].encode("utf-8")
-                )
-                hasher.update(b"\x00")
-            self._digest = hasher.hexdigest()
-        return self._digest
 
     # -- import graph ---------------------------------------------------
     def imports(self, relpath: str) -> frozenset[str]:
@@ -332,9 +298,7 @@ class Project:
     def _extract_calls(self, symbol):
         module = symbol.module
         locals_types = self._local_instance_types(module, symbol)
-        for node in ast.walk(symbol.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.index_of(symbol.node).of_type(ast.Call):
             dotted = self.call_target(
                 module, node, symbol, locals_types
             )
@@ -344,9 +308,7 @@ class Project:
     def _local_instance_types(self, module, symbol) -> dict[str, str]:
         """``var -> dotted`` for ``var = Callee(...)`` assignments."""
         types: dict[str, str] = {}
-        for node in ast.walk(symbol.node):
-            if not isinstance(node, ast.Assign):
-                continue
+        for node in module.index_of(symbol.node).of_type(ast.Assign):
             if len(node.targets) != 1 or not isinstance(
                 node.targets[0], ast.Name
             ):

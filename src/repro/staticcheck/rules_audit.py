@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from .engine import Finding, ModuleInfo, Rule
+from .engine import Finding, ModuleInfo, NodeIndex, Rule
 
 __all__ = ["AuditBoundaryRule"]
 
@@ -69,9 +69,11 @@ def _is_self_rooted(node: ast.AST) -> bool:
     return isinstance(base, ast.Name) and base.id == "self"
 
 
-def _mutation_line(body: list[ast.stmt]) -> int | None:
+def _mutation_line(body: NodeIndex) -> int | None:
     """The line of the first ``self``-rooted mutation, if any."""
-    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
+    for node in body.of_type(
+        ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete, ast.Call
+    ):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (
                 node.targets
@@ -103,11 +105,9 @@ def _mutation_line(body: list[ast.stmt]) -> int | None:
     return None
 
 
-def _emits_audit(body: list[ast.stmt], module: ModuleInfo) -> bool:
+def _emits_audit(body: NodeIndex, module: ModuleInfo) -> bool:
     """Whether any call in *body* emits into the audit layer."""
-    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in body.of_type(ast.Call):
         if module.resolve_dotted(node.func) == _AUDIT_CALL:
             return True
         func = node.func
@@ -142,9 +142,7 @@ class AuditBoundaryRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         """Walk every class; flag unaudited mutating public methods."""
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
+        for node in module.index.of_type(ast.ClassDef):
             for item in node.body:
                 if not isinstance(
                     item, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -152,10 +150,15 @@ class AuditBoundaryRule(Rule):
                     continue
                 if item.name.startswith("_"):
                     continue
-                line = _mutation_line(item.body)
+                # The body alone: decorators and defaults are not
+                # part of what the method does when called.
+                body = NodeIndex(
+                    ast.Module(body=item.body, type_ignores=[])
+                )
+                line = _mutation_line(body)
                 if line is None:
                     continue
-                if _emits_audit(item.body, module):
+                if _emits_audit(body, module):
                     continue
                 yield Finding(
                     rule_id=self.id,

@@ -94,10 +94,8 @@ class SafeguardBoundaryRule(Rule):
             if _origin_matches(origin, _SANITIZER_ORIGIN)
         }
         if not sanitizers:
-            for stmt in ast.walk(node):
-                if isinstance(
-                    stmt, (ast.Import, ast.ImportFrom)
-                ) and any(
+            for stmt in module.index.of_type(ast.Import, ast.ImportFrom):
+                if any(
                     (alias.asname or alias.name.split(".")[0]) in raw
                     for alias in stmt.names
                 ):
@@ -117,13 +115,12 @@ class SafeguardBoundaryRule(Rule):
         yield from self._walk_scope(
             node.body, module, raw, set(sanitizers)
         )
-        for inner in ast.walk(node):
-            if isinstance(
-                inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                yield from self._walk_scope(
-                    inner.body, module, raw, set(sanitizers)
-                )
+        for inner in module.index.of_type(
+            ast.FunctionDef, ast.AsyncFunctionDef
+        ):
+            yield from self._walk_scope(
+                inner.body, module, raw, set(sanitizers)
+            )
 
     # -- taint machinery ------------------------------------------------
     def _walk_scope(

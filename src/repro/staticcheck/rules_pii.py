@@ -60,6 +60,8 @@ _IPV6_RE = re.compile(
     r"(?<![\w:.])([0-9A-Fa-f]{0,4}(?::[0-9A-Fa-f]{0,4}){2,7})(?![\w:])"
 )
 
+_DIGIT_RE = re.compile(r"\d")
+
 #: Python slice shapes (``1::2``, ``::2``) that also parse as IPv6.
 _SLICE_SHAPE_RE = re.compile(r"\d{0,3}::\d{0,3}")
 
@@ -104,13 +106,14 @@ class PIILiteralRule(Rule):
         "no email-shaped strings, globally-routable IPv4/IPv6 "
         "literals, or realistic phone numbers anywhere in src/"
     )
-    #: v2: IPv6 literal scanning added.
-    version = 2
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         """Scan every raw source line (code, strings and comments)."""
         for number, text in enumerate(module.lines, start=1):
-            for match in _EMAIL_RE.finditer(text):
+            # Cheap necessary conditions first: each pattern needs an
+            # ``@``, a digit or two colons, and most lines have none.
+            has_digit = _DIGIT_RE.search(text) is not None
+            for match in _EMAIL_RE.finditer(text) if "@" in text else ():
                 email = match.group(0)
                 domain = email.rsplit("@", 1)[1].lower().rstrip(".")
                 if not domain.endswith(_SAFE_MAIL_SUFFIXES):
@@ -120,7 +123,7 @@ class PIILiteralRule(Rule):
                         f"email-shaped literal {email!r} outside the "
                         "RFC 2606 documentation domains",
                     )
-            for match in _IPV4_RE.finditer(text):
+            for match in _IPV4_RE.finditer(text) if has_digit else ():
                 if not _ip_is_safe(match.group(1)):
                     yield self._finding(
                         module,
@@ -129,7 +132,9 @@ class PIILiteralRule(Rule):
                         f"{match.group(1)!r}; use RFC 5737 "
                         "documentation or RFC 1918 private ranges",
                     )
-            for match in _IPV6_RE.finditer(text):
+            for match in (
+                _IPV6_RE.finditer(text) if text.count(":") >= 2 else ()
+            ):
                 if not _ipv6_is_safe(match.group(1)):
                     yield self._finding(
                         module,
@@ -138,7 +143,7 @@ class PIILiteralRule(Rule):
                         f"{match.group(1)!r}; use the RFC 3849 "
                         "documentation range 2001:db8::/32",
                     )
-            for match in _PHONE_RE.finditer(text):
+            for match in _PHONE_RE.finditer(text) if has_digit else ():
                 if match.group(2) != "555":
                     yield self._finding(
                         module,

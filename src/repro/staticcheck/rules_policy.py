@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable
 
-from .engine import Finding, ModuleInfo, Rule
+from .engine import Finding, ModuleInfo, NodeIndex, Rule
 
 __all__ = ["PolicyLiteralRule"]
 
@@ -64,20 +64,12 @@ def _watched_literals() -> dict[str, str]:
     return watched
 
 
-def _docstring_nodes(tree: ast.Module) -> set[int]:
-    """``id()`` of every docstring Constant in *tree*."""
+def _docstring_nodes(index: NodeIndex) -> set[int]:
+    """``id()`` of every docstring Constant in the indexed tree."""
     nodes: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(
-            node,
-            (
-                ast.Module,
-                ast.ClassDef,
-                ast.FunctionDef,
-                ast.AsyncFunctionDef,
-            ),
-        ):
-            continue
+    for node in index.of_type(
+        ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef
+    ):
         body = node.body
         if (
             body
@@ -111,13 +103,9 @@ class PolicyLiteralRule(Rule):
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         """Judge every non-docstring string constant in the module."""
         watched = _watched_literals()
-        docstrings = _docstring_nodes(module.tree)
-        for node in ast.walk(module.tree):
-            if (
-                not isinstance(node, ast.Constant)
-                or not isinstance(node.value, str)
-                or id(node) in docstrings
-            ):
+        docstrings = _docstring_nodes(module.index)
+        for node in module.index.of_type(ast.Constant):
+            if not isinstance(node.value, str) or id(node) in docstrings:
                 continue
             kind = watched.get(node.value)
             if kind is None:

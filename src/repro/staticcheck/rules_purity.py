@@ -47,7 +47,7 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from .engine import Finding, ModuleInfo, Rule
+from .engine import Finding, ModuleInfo, NodeIndex, Rule
 
 if TYPE_CHECKING:
     from .project import FunctionSymbol, Project
@@ -260,9 +260,7 @@ class PurityRule(Rule):
     ) -> Iterator[tuple[str, ast.expr, ModuleInfo, ast.Call]]:
         """Yield (op name, handler expr, module, call) per pure op."""
         for module in project:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.index.of_type(ast.Call):
                 dotted = project.call_target(module, node)
                 if (
                     dotted is None
@@ -353,10 +351,9 @@ class PurityRule(Rule):
         # not calls of an ``os.*`` function — scan them separately
         # (calls like ``os.getenv()`` are already covered above).
         module = fn.module
-        for node in ast.walk(fn.node):
+        for node in module.index_of(fn.node).of_type(ast.Attribute):
             if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "environ"
+                node.attr == "environ"
                 and module.resolve_dotted(node) == "os.environ"
             ):
                 yield (
@@ -370,37 +367,30 @@ class PurityRule(Rule):
         self, fn: "FunctionSymbol"
     ) -> Iterator[tuple[int, str, str]]:
         """Module-state writes, minus the idempotent memo idiom."""
-        body = fn.node
+        index = fn.module.index_of(fn.node)
         global_names: set[str] = set()
-        for node in ast.walk(body):
-            if isinstance(node, ast.Global):
-                global_names.update(node.names)
-        assigned = {
-            node.id
-            for node in ast.walk(body)
-            if isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Store)
-        }
+        for node in index.of_type(ast.Global):
+            global_names.update(node.names)
+        stores = [
+            node
+            for node in index.of_type(ast.Name)
+            if isinstance(node.ctx, ast.Store)
+        ]
+        assigned = {node.id for node in stores}
         for name in sorted(global_names & assigned):
-            if self._is_memo_guarded(body, name):
+            if self._is_memo_guarded(index, name):
                 continue
-            line = body.lineno
-            for node in ast.walk(body):
-                if (
-                    isinstance(node, ast.Name)
-                    and node.id == name
-                    and isinstance(node.ctx, ast.Store)
-                ):
-                    line = node.lineno
-                    break
+            line = next(
+                node.lineno for node in stores if node.id == name
+            )
             yield (
                 line,
                 "module-state mutation",
                 f"global {name} rebinding",
             )
         module_level = self._module_level_names(fn.module)
-        local = assigned | self._parameter_names(body) | global_names
-        for node in ast.walk(body):
+        local = assigned | self._parameter_names(index) | global_names
+        for node in index.of_type(ast.Assign, ast.AugAssign, ast.Call):
             target_name, line = self._container_write(node)
             if target_name is None:
                 continue
@@ -415,11 +405,9 @@ class PurityRule(Rule):
             )
 
     @staticmethod
-    def _is_memo_guarded(body: ast.AST, name: str) -> bool:
+    def _is_memo_guarded(index: NodeIndex, name: str) -> bool:
         """``global X`` guarded by ``if X is None`` is idempotent."""
-        for node in ast.walk(body):
-            if not isinstance(node, ast.If):
-                continue
+        for node in index.of_type(ast.If):
             test = node.test
             if (
                 isinstance(test, ast.Compare)
@@ -449,23 +437,19 @@ class PurityRule(Rule):
         return names
 
     @staticmethod
-    def _parameter_names(body: ast.AST) -> set[str]:
+    def _parameter_names(index: NodeIndex) -> set[str]:
         names: set[str] = set()
-        for node in ast.walk(body):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        for args in index.of_type(ast.arguments):
+            for arg in (
+                *args.posonlyargs,
+                *args.args,
+                *args.kwonlyargs,
             ):
-                args = node.args
-                for arg in (
-                    *args.posonlyargs,
-                    *args.args,
-                    *args.kwonlyargs,
-                ):
-                    names.add(arg.arg)
-                if args.vararg:
-                    names.add(args.vararg.arg)
-                if args.kwarg:
-                    names.add(args.kwarg.arg)
+                names.add(arg.arg)
+            if args.vararg:
+                names.add(args.vararg.arg)
+            if args.kwarg:
+                names.add(args.kwarg.arg)
         return names
 
     @staticmethod

@@ -95,9 +95,7 @@ class WorkerSafetyRule(Rule):
         findings: list[Finding] = []
         for module in project:
             pools = self._pool_names(module)
-            for call in ast.walk(module.tree):
-                if not isinstance(call, ast.Call):
-                    continue
+            for call in module.index.of_type(ast.Call):
                 if not self._is_submission(call, module, pools):
                     continue
                 findings.extend(
@@ -109,22 +107,19 @@ class WorkerSafetyRule(Rule):
     def _pool_names(self, module: ModuleInfo) -> set[str]:
         """Names bound to a process-pool instance in *module*."""
         names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                if self._is_executor(node.value, module):
-                    names.update(
-                        target.id
-                        for target in node.targets
-                        if isinstance(target, ast.Name)
-                    )
-            elif isinstance(node, ast.With):
-                for item in node.items:
-                    if self._is_executor(
-                        item.context_expr, module
-                    ) and isinstance(
-                        item.optional_vars, ast.Name
-                    ):
-                        names.add(item.optional_vars.id)
+        for node in module.index.of_type(ast.Assign):
+            if self._is_executor(node.value, module):
+                names.update(
+                    target.id
+                    for target in node.targets
+                    if isinstance(target, ast.Name)
+                )
+        for node in module.index.of_type(ast.With):
+            for item in node.items:
+                if self._is_executor(
+                    item.context_expr, module
+                ) and isinstance(item.optional_vars, ast.Name):
+                    names.add(item.optional_vars.id)
         return names
 
     @staticmethod

@@ -205,3 +205,43 @@ def test_undecodable_file_gives_the_readers_typed_error(
     assert len(errors) == 1
     assert errors[0].startswith("error: ")
     assert where in errors[0]
+
+
+#: Source files the linter cannot read or walk, as (package-relative
+#: path, bytes): not UTF-8; nesting too deep for the AST builder (a
+#: RecursionError inside ``ast.parse``, not a SyntaxError); and an
+#: expression that parses but is too deep for R1's recursive taint
+#: walk.
+LINT_CASES = {
+    "lint-not-utf8": ("hostile.py", b"x = '\xff'\n"),
+    "lint-deep-binop": (
+        "hostile.py", b"x = " + b"+".join([b"1"] * 100_000) + b"\n"
+    ),
+    "lint-deep-attribute": (
+        "hostile.py", b"x = a" + b".b" * 50_000 + b"\n"
+    ),
+    "lint-deep-taint": (
+        "reporting/hostile.py",
+        b"from ..datasets import Raw\n"
+        b"from ..anonymization import scrub\n"
+        b"publish(Raw" + b"+Raw" * 900 + b")\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINT_CASES))
+def test_lint_path_hostile_source_gives_one_error_line(
+    case, tmp_path, capsys
+):
+    relpath, content = LINT_CASES[case]
+    source = tmp_path / "tree" / relpath
+    source.parent.mkdir(parents=True)
+    source.write_bytes(content)
+    code = main(["lint", "--path", str(tmp_path / "tree")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ")
+    assert "hostile.py" in errors[0]

@@ -475,9 +475,7 @@ class TestStaticcheckOverPool:
         """The interprocedural rules pass over the new subsystem."""
         from repro.staticcheck import lint_repo, unsuppressed
 
-        findings = unsuppressed(
-            lint_repo(select=("R8", "R9"), incremental=False)
-        )
+        findings = unsuppressed(lint_repo(select=("R8", "R9")))
         assert not findings, findings
 
     def test_r9_audits_the_pool_module(self):
@@ -502,9 +500,7 @@ class TestStaticcheckOverPool:
 
         findings = [
             finding
-            for finding in lint_repo(
-                select=("R9",), incremental=False
-            )
+            for finding in lint_repo(select=("R9",))
             if finding.rule_id == "R9"
         ]
         assert [

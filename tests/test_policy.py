@@ -462,5 +462,5 @@ class TestPolicyLiteralRule:
     def test_repo_baseline_is_empty(self):
         from repro.staticcheck import lint_repo
 
-        findings = lint_repo(("R10",), incremental=False)
+        findings = lint_repo(("R10",))
         assert [f for f in findings if f.rule_id == "R10"] == []

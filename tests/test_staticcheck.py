@@ -1,8 +1,9 @@
 """Unit tests for the staticcheck policy linter (rules R1-R7).
 
-The interprocedural rules (R8/R9), the project graph and the
-incremental cache live in ``test_staticcheck_project.py``; reporter
-golden output lives in ``test_staticcheck_reporters.py``.
+The interprocedural rules (R8/R9), the node index and the project
+graph live in ``test_staticcheck_project.py``; reporter golden output
+lives in ``test_staticcheck_reporters.py`` and the engine's own golden
+output in ``test_staticcheck_golden.py``.
 """
 
 from __future__ import annotations

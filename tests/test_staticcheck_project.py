@@ -1,4 +1,4 @@
-"""Tests for the project graph, R8/R9 and the incremental lint cache.
+"""Tests for the node index, the project graph and R8/R9.
 
 Fixture trees mirror the package layout on disk (``ops/catalog.py``,
 ``ops/spec.py``) so :meth:`LintEngine.lint_package` exercises exactly
@@ -8,18 +8,17 @@ sees.
 
 from __future__ import annotations
 
-import json
+import ast
 
 import pytest
 
 from repro.staticcheck import (
-    LintCache,
     LintEngine,
     ModuleInfo,
+    NodeIndex,
     Project,
-    baseline_drift,
     default_registry,
-    render_json,
+    package_root,
 )
 from repro.staticcheck.project import module_dotted
 
@@ -31,11 +30,9 @@ def build_tree(tmp_path, files: dict) -> None:
         target.write_text(source, encoding="utf-8")
 
 
-def lint_tree(tmp_path, select=("R8", "R9"), **kwargs):
-    registry = default_registry()
-    if select:
-        registry = registry.select(select)
-    return LintEngine(registry).lint_package(tmp_path, **kwargs)
+def lint_tree(tmp_path):
+    registry = default_registry().select(("R8", "R9"))
+    return LintEngine(registry).lint_package(tmp_path)
 
 
 #: Minimal ops scaffolding every purity fixture shares.
@@ -47,6 +44,40 @@ _SPEC = {
         "        self.name = name\n"
     ),
 }
+
+
+class TestNodeIndex:
+    def test_nodes_follow_ast_walk_order_on_the_package(self):
+        # Rules that take "the first match" (R5's mutation line, R8's
+        # store line) rely on the index reproducing ast.walk exactly.
+        for path in sorted(package_root().rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert list(NodeIndex(tree).nodes) == list(ast.walk(tree))
+
+    def test_of_type_buckets_exact_types_in_walk_order(self):
+        module = ModuleInfo(
+            "import a\n"
+            "def f():\n"
+            "    from b import c\n"
+            "    return g(h(1))\n"
+            "import d\n",
+            "x.py",
+        )
+        calls = module.index.of_type(ast.Call)
+        assert [call.func.id for call in calls] == ["g", "h"]
+        imports = module.index.of_type(ast.Import, ast.ImportFrom)
+        assert [type(node).__name__ for node in imports] == [
+            "Import",
+            "Import",
+            "ImportFrom",
+        ]
+        assert module.index.of_type(ast.While) == []
+
+    def test_index_of_memoises_per_subtree(self):
+        module = ModuleInfo("def f():\n    return g()\n", "x.py")
+        function = module.tree.body[0]
+        assert module.index_of(function) is module.index_of(function)
+        assert module.index_of(function).nodes[0] is function
 
 
 class TestProjectGraph:
@@ -115,12 +146,6 @@ class TestProjectGraph:
         assert (
             "reporting/report.py" in project.import_graph()
         )
-
-    def test_digest_tracks_content(self):
-        base = [ModuleInfo("x = 1\n", "a.py")]
-        changed = [ModuleInfo("x = 2\n", "a.py")]
-        assert Project(base).digest == Project(base).digest
-        assert Project(base).digest != Project(changed).digest
 
 
 class TestR8Purity:
@@ -384,106 +409,3 @@ class TestR9WorkerSafety:
         else:
             assert [f.rule_id for f in findings] == ["R9"]
             assert fragment in findings[0].message
-
-
-class TestIncrementalCache:
-    TREE = {
-        "datasets/gen.py": (
-            "import random\n"
-            "def draw():\n"
-            "    return random.random()\n"
-        ),
-        "analysis/calc.py": "def calc(x):\n    return x + 1\n",
-    }
-
-    def test_warm_run_is_byte_identical(self, tmp_path):
-        build_tree(tmp_path, self.TREE)
-        cache = tmp_path / "cache.json"
-        cold = lint_tree(
-            tmp_path, select=(), cache_path=cache
-        )
-        assert cache.exists()
-        warm = lint_tree(
-            tmp_path, select=(), cache_path=cache
-        )
-        assert render_json(cold) == render_json(warm)
-        assert any(f.rule_id == "R2" for f in cold)
-
-    def test_changed_only_reports_only_moved_files(self, tmp_path):
-        build_tree(tmp_path, self.TREE)
-        cache = tmp_path / "cache.json"
-        lint_tree(tmp_path, select=(), cache_path=cache)
-        # No change: nothing to report.
-        assert (
-            lint_tree(
-                tmp_path,
-                select=(),
-                cache_path=cache,
-                changed_only=True,
-            )
-            == []
-        )
-        # Touch one file: only its findings come back.
-        (tmp_path / "analysis" / "calc.py").write_text(
-            "import time\ndef calc(x):\n    return time.time()\n"
-        )
-        changed = lint_tree(
-            tmp_path,
-            select=(),
-            cache_path=cache,
-            changed_only=True,
-        )
-        assert changed
-        assert {f.path.split("/")[-1] for f in changed} == {
-            "calc.py"
-        }
-
-    def test_rule_version_invalidates(self, tmp_path):
-        build_tree(tmp_path, self.TREE)
-        cache = tmp_path / "cache.json"
-        lint_tree(tmp_path, select=(), cache_path=cache)
-        payload = json.loads(cache.read_text())
-        engine = LintEngine(default_registry())
-        assert payload["ruleset"] == engine.ruleset_signature()
-        # A different rule set must refuse the cached findings.
-        assert (
-            LintCache.load(
-                cache, "0" * 32
-            ).module_findings(
-                "datasets/gen.py",
-                payload["modules"]["datasets/gen.py"]["digest"],
-            )
-            is None
-        )
-
-    def test_corrupt_cache_is_cold_start(self, tmp_path):
-        build_tree(tmp_path, self.TREE)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        findings = lint_tree(
-            tmp_path, select=(), cache_path=cache
-        )
-        assert any(f.rule_id == "R2" for f in findings)
-
-    def test_deleted_files_are_pruned(self, tmp_path):
-        build_tree(tmp_path, self.TREE)
-        cache = tmp_path / "cache.json"
-        lint_tree(tmp_path, select=(), cache_path=cache)
-        (tmp_path / "datasets" / "gen.py").unlink()
-        findings = lint_tree(
-            tmp_path, select=(), cache_path=cache
-        )
-        assert not any(f.rule_id == "R2" for f in findings)
-        payload = json.loads(cache.read_text())
-        assert "datasets/gen.py" not in payload["modules"]
-
-
-class TestBaselineStaleSwitch:
-    def test_stale_direction_can_be_disabled(self):
-        from repro.staticcheck import BaselineEntry
-
-        baseline = [
-            BaselineEntry("R2", "src/repro/datasets/x.py", "why")
-        ]
-        assert baseline_drift([], baseline)  # stale entry reported
-        assert baseline_drift([], baseline, stale=False) == []
