@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import ipaddress
+import re
 from collections.abc import Sequence
 from itertools import islice
 
@@ -66,6 +67,11 @@ __all__ = ["CacheStats", "IPAnonymizer"]
 #: processing keeps the hit rate near an unbounded cache even at
 #: this size.
 DEFAULT_CACHE_SIZE = 1 << 17
+
+#: One dotted-quad octet, 0-255 in ASCII decimal, no leading zeros.
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(r"\.".join([_OCTET] * 4))
+
 
 @dataclasses.dataclass(frozen=True)
 class CacheStats:
@@ -174,11 +180,12 @@ class IPAnonymizer:
         # shifting the depth above the address width keeps keys
         # unique. The packed key doubles as the 17-byte PRF message,
         # so the encoding is injective. One digest per byte-aligned
-        # prefix covers the next eight depths: the in-byte prefix
-        # bits walk a 1-rooted heap index (node ``2**j + partial``
-        # for the j-bit partial prefix), and ``node - 1`` selects the
-        # flip bit out of the digest's 255 usable bits. See the
-        # module docstring for why this preserves exact prefixes.
+        # prefix covers the next eight depths: the flip bit for
+        # in-byte depth j sits at offset ``2**j - 1 + (b >> (8 - j))``
+        # (the heap node of the j-bit partial prefix of input byte
+        # b, less one) and lands on output bit ``7 - j``; all eight
+        # flips form one mask XORed into the byte. See the module
+        # docstring for why this preserves exact prefixes.
         for depth in range(start, width, 8):
             byte_prefix = value >> (width - depth) if depth else 0
             cache_key = (depth << width) | byte_prefix
@@ -191,16 +198,18 @@ class IPAnonymizer:
                 cache[cache_key] = subtree
             else:
                 hits += 1
-            input_byte = (value >> (width - depth - 8)) & 0xFF
-            out_byte = 0
-            node = 1
-            for shift in (7, 6, 5, 4, 3, 2, 1, 0):
-                bit = (input_byte >> shift) & 1
-                out_byte = (
-                    (out_byte << 1) | (bit ^ ((subtree >> (node - 1)) & 1))
-                )
-                node = (node << 1) | bit
-            result = (result << 8) | out_byte
+            b = (value >> (width - depth - 8)) & 0xFF
+            mask = (
+                (subtree & 1) << 7
+                | ((subtree >> (1 + (b >> 7))) & 1) << 6
+                | ((subtree >> (3 + (b >> 6))) & 1) << 5
+                | ((subtree >> (7 + (b >> 5))) & 1) << 4
+                | ((subtree >> (15 + (b >> 4))) & 1) << 3
+                | ((subtree >> (31 + (b >> 3))) & 1) << 2
+                | ((subtree >> (63 + (b >> 2))) & 1) << 1
+                | (subtree >> (127 + (b >> 1))) & 1
+            )
+            result = (result << 8) | (b ^ mask)
         self._hits += hits
         self._misses += misses
         # Bound the cache once per address, not per bit: overshoot is
@@ -313,21 +322,17 @@ class IPAnonymizer:
 
 
 def _parse_ipv4(address: str) -> int | None:
-    """Fast dotted-quad parse; ``None`` if not a plain IPv4 string."""
-    parts = address.split(".")
-    if len(parts) != 4:
+    """Fast dotted-quad parse; ``None`` if not a plain IPv4 string.
+
+    ASCII digits only (``str.isdigit`` would admit ``"١"`` or
+    ``"²"``), no leading zeros, each octet at most 255 — anything
+    else falls through to :mod:`ipaddress`, which rejects it.
+    """
+    match = _IPV4.fullmatch(address)
+    if match is None:
         return None
-    value = 0
-    for part in parts:
-        if not part.isdigit() or len(part) > 3:
-            return None
-        if part != "0" and part[0] == "0":
-            return None  # leading zeros are ambiguous; reject
-        octet = int(part)
-        if octet > 255:
-            return None
-        value = (value << 8) | octet
-    return value
+    a, b, c, d = map(int, match.groups())
+    return (a << 24) | (b << 16) | (c << 8) | d
 
 
 def _format_ipv4(value: int) -> str:

@@ -47,7 +47,9 @@ registry (:func:`warm_pool`); :func:`shutdown_warm_pools` tears all
 of them down (tests and benchmarks use it for isolation), and the
 first pool creation registers an ``atexit`` teardown — opt out with
 :func:`set_atexit_shutdown` — so a long-lived session never leaks
-pre-forked workers. :meth:`WarmPool.health` is the liveness/
+pre-forked workers. The registry is per process: a forked worker
+inherits its parent's entries but never uses, lists or shuts them
+down. :meth:`WarmPool.health` is the liveness/
 readiness report (live workers, rebuilds, cache counters, optional
 probe round-trip) behind ``repro-ethics obs health``. Everything
 submitted to the pool is a module-level function — staticcheck rule
@@ -59,12 +61,13 @@ from __future__ import annotations
 import atexit
 import contextlib
 import dataclasses
+import os
 from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import BrokenExecutor
 
 from ..errors import BatchError, ReproError
-from ..observability import audit_event, flight_recorder
+from ..observability import audit_event, flight_recorder, set_observer
 from ..observability.worker import TelemetryShard, WorkerTelemetry
 from .cache import ResultCache
 from .context import RunContext
@@ -130,16 +133,21 @@ class ChunkResult:
 def _warm_worker(use_cache: bool) -> None:
     """Pool initializer: build and warm the per-process state.
 
-    Runs once in every worker at spawn time, before any request:
-    assembles the operation registry (so per-request dispatch is a
-    dict hit), constructs the persistent worker
-    :class:`RunContext`, and materialises the corpus and its content
-    digest — the costs that previously made every worker's first
-    request ~100x slower than its second.
+    Runs once in every worker at spawn time, before any request.
+    It first drops the observer a forked worker inherits: a pool
+    first used inside an ``observed(...)`` block would otherwise
+    write every later untelemetered chunk's events into the
+    coordinator's (by then closed) audit log. It then assembles the
+    operation registry (so per-request dispatch is a dict hit),
+    constructs the persistent worker :class:`RunContext`, and
+    materialises the corpus and its content digest — the costs that
+    previously made every worker's first request ~100x slower than
+    its second.
     """
     from .batch import _worker_context
     from .catalog import default_registry
 
+    set_observer(None)
     default_registry()
     _worker_context(use_cache).warm_up()
 
@@ -230,8 +238,8 @@ class OrderedDrain:
     ``len(drain)`` is the number of jobs in flight, the queue depth
     the batch executor reports.
 
-    A job that raises re-raises here after :meth:`close` cancels
-    everything still queued. A lost worker is always charged to the
+    A job that raises, or a job source that raises, re-raises here
+    after :meth:`close` cancels everything still queued. A lost worker is always charged to the
     oldest undrained job, whichever submit or wait first noticed the
     broken pool, so the typed *error* names the same span on every
     run.
@@ -252,7 +260,11 @@ class OrderedDrain:
         self._error = error
         self._pending: deque = deque()
         self._unsubmitted: tuple[str, tuple] | None = None
-        self._fill()
+        try:
+            self._fill()
+        except BaseException:
+            self.close()
+            raise
 
     def __iter__(self) -> "OrderedDrain":
         return self
@@ -266,13 +278,13 @@ class OrderedDrain:
         span, future = self._pending.popleft()
         try:
             result = self._pool.outcome(future)
+            self._fill()
         except BrokenExecutor as exc:
             self.close()
             raise self._pool._lost(span, exc, self._error) from exc
         except BaseException:
             self.close()
             raise
-        self._fill()
         return result
 
     def close(self) -> None:
@@ -507,8 +519,14 @@ class WarmPool:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-#: Process-lifetime pool registry, keyed by (workers, cache on/off).
-_WARM_POOLS: dict[tuple[int, bool], WarmPool] = {}
+#: Process-lifetime pool registry, keyed by (owning pid, workers,
+#: cache on/off). A forked worker inherits the parent's entries: each
+#: executor copy there has no manager thread, and its shutdown lock
+#: may be held (workers fork inside ``submit``), so the worker must
+#: neither use one nor let one be collected — its weakref callback
+#: would block on that lock. Keying by pid leaves them unused and
+#: referenced.
+_WARM_POOLS: dict[tuple[int, int, bool], WarmPool] = {}
 
 #: Exit-hook state: registered once per process, opt-out via
 #: :func:`set_atexit_shutdown`. A dict (not two globals) so the
@@ -537,9 +555,10 @@ def set_atexit_shutdown(enabled: bool) -> bool:
 
 
 def active_pools() -> tuple[WarmPool, ...]:
-    """Registered warm pools, ordered by (workers, cache) key."""
+    """This process's warm pools, ordered by (workers, cache) key."""
+    pid = os.getpid()
     return tuple(
-        _WARM_POOLS[key] for key in sorted(_WARM_POOLS)
+        _WARM_POOLS[key] for key in sorted(_WARM_POOLS) if key[0] == pid
     )
 
 
@@ -548,11 +567,13 @@ def warm_pool(workers: int, use_cache: bool = True) -> WarmPool:
 
     Successive ``BatchExecutor(..., warm=True)`` runs with the same
     worker count and cache setting share one pool — and therefore
-    one set of warmed workers and one coordinator cache. With
+    one set of warmed workers and one coordinator cache. Parallel
+    :class:`~repro.pipeline.SafeguardPipeline` runs use
+    ``warm_pool(workers, use_cache=False)``. With
     ``workers=1`` the pool never spawns a process; only its
     persistent coordinator context (and cache) is used.
     """
-    key = (workers, use_cache)
+    key = (os.getpid(), workers, use_cache)
     pool = _WARM_POOLS.get(key)
     if pool is None:
         if not _ATEXIT["registered"]:
@@ -567,14 +588,17 @@ def warm_pool(workers: int, use_cache: bool = True) -> WarmPool:
 
 
 def shutdown_warm_pools() -> int:
-    """Shut down every registered warm pool; returns how many.
+    """Shut down every warm pool this process registered; returns
+    how many.
 
     Drops the pools' coordinator caches too — after this call the
     process is back to a fully cold state (tests and benchmarks use
     it as the isolation boundary).
     """
-    pools = list(_WARM_POOLS.values())
-    _WARM_POOLS.clear()
+    pools = active_pools()
+    pid = os.getpid()
+    for key in [key for key in _WARM_POOLS if key[0] == pid]:
+        del _WARM_POOLS[key]
     for pool in pools:
         pool.shutdown()
     return len(pools)

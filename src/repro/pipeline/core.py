@@ -11,10 +11,17 @@ with more workers, chunks fan out over a
 through its ordered drain, so results merge back in submission
 order and the concatenated output is byte-identical to a serial run
 (stages are deterministic functions of their spec and chunk — see
-:mod:`repro.pipeline.stages`). Each run builds its own pool and
-shuts it down; a lost worker surfaces as
+:mod:`repro.pipeline.stages`). The pool is the process-lifetime
+``warm_pool(workers, use_cache=False)`` the ``batch`` op also draws
+from, so its workers, and the stage runners they keep per spec
+tuple, outlive the run until
+:func:`~repro.ops.pool.shutdown_warm_pools` or interpreter exit.
+Inside a multiprocessing child (a ``batch`` worker serving a
+``pipeline`` request), which runs no exit hooks, each run builds its
+own pool and shuts it down instead. A lost worker surfaces as
 :class:`~repro.errors.SafeguardError` with an ``ops/worker-lost``
-audit event and a ``worker-lost`` flight-recorder incident.
+audit event and a ``worker-lost`` flight-recorder incident, and the
+next run rebuilds the pool.
 
 Observability: each run accumulates per-stage counters, gauges and
 timing histograms in a private
@@ -42,7 +49,9 @@ summed, and cache-occupancy gauges merge by maximum.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import multiprocessing
 import time
 from collections.abc import Iterable, Iterator
 
@@ -68,9 +77,15 @@ __all__ = ["PipelineResult", "SafeguardPipeline"]
 #: Counter keys that are point-in-time gauges, merged by max not sum.
 _GAUGE_KEYS = frozenset({"cache_size", "cache_maxsize"})
 
-#: Built runners per spec tuple, one entry per (worker) process —
-#: keeps stage caches resident for the lifetime of the pool.
+#: Built runners per spec tuple in a worker process — keeps stage
+#: caches (IP prefix digests, the seal stage's stretched key)
+#: resident across chunks and runs on the warm pool.
 _RUNNER_CACHE: dict[tuple[StageSpec, ...], tuple[StageRunner, ...]] = {}
+
+#: Spec tuples a worker keeps built runners for, oldest evicted
+#: first. Small because one anonymize runner alone may hold up to
+#: ``1 << 17`` prefix-cache entries.
+_RUNNER_CACHE_SIZE = 4
 
 
 def _runners_for(
@@ -80,6 +95,8 @@ def _runners_for(
     runners = _RUNNER_CACHE.get(specs)
     if runners is None:
         runners = tuple(spec.build() for spec in specs)
+        if len(_RUNNER_CACHE) >= _RUNNER_CACHE_SIZE:
+            del _RUNNER_CACHE[next(iter(_RUNNER_CACHE))]
         _RUNNER_CACHE[specs] = runners
     return runners
 
@@ -191,9 +208,10 @@ class SafeguardPipeline:
 
     ``stages`` is an ordered tuple of specs from
     :mod:`repro.pipeline.stages`; ``workers`` selects inline
-    execution (``1``) or a process pool; ``chunk_size`` fixes the
-    fan-out unit. Output is invariant under both knobs — they trade
-    memory and parallelism against overhead, never correctness.
+    execution (``1``) or the shared warm process pool;
+    ``chunk_size`` fixes the fan-out unit. Output is invariant under
+    both knobs — they trade memory and parallelism against
+    overhead, never correctness.
     """
 
     def __init__(
@@ -246,12 +264,17 @@ class SafeguardPipeline:
         registry = MetricsRegistry()
         chunk_count = 0
         started = time.perf_counter()
+        outcomes = (
+            self._run_serial(chunks)
+            if self._workers == 1
+            else self._run_parallel(chunks)
+        )
         try:
-            with tracer().span("pipeline.run"):
-                if self._workers == 1:
-                    outcomes = self._run_serial(chunks)
-                else:
-                    outcomes = self._run_parallel(chunks)
+            # Closing the stream on every way out cancels the chunks
+            # still queued on the pool, not only on a worker failure.
+            with tracer().span("pipeline.run"), contextlib.closing(
+                outcomes
+            ):
                 for chunk, chunk_artifacts, stage_stats, shard in (
                     outcomes
                 ):
@@ -344,36 +367,52 @@ class SafeguardPipeline:
             WorkerTelemetry | None,
         ]
     ]:
-        """Worker-pool fan-out with ordered merge.
+        """Fan out over the process-lifetime warm pool; merge in order.
 
-        The pool's ordered drain keeps at most ``4 × workers`` chunks
-        in flight and returns results strictly in submission order,
-        so the merged stream preserves chunk order by construction —
-        and worker telemetry shards replay into the parent trail in
-        the same order a serial run would have emitted their events.
+        Chunks run on ``warm_pool(workers, use_cache=False)``, which
+        stays up after the run: each worker builds the runners for a
+        spec tuple on its first chunk and reuses them on every later
+        chunk and run, so the seal stage's PBKDF2 key stretch and the
+        anonymizer's prefix cache are paid once per worker, not once
+        per run. A multiprocessing child runs no exit hooks, so there
+        the run uses a pool of its own and shuts it down when it
+        ends. Whichever way the run ends, the chunks still queued are
+        cancelled. The pool's ordered drain keeps at most
+        ``4 × workers`` chunks in flight and returns results strictly
+        in submission order, so the merged stream preserves chunk
+        order by construction — and worker telemetry shards replay
+        into the parent trail in the same order a serial run would
+        have emitted their events.
         """
-        from ..ops.pool import WarmPool
+        from ..ops.pool import WarmPool, warm_pool
 
         telemetry = get_observer().enabled
-        # Build the runners in the parent before the pool forks: on
-        # fork platforms every worker inherits the populated
-        # _RUNNER_CACHE, so one-time setup cost (the seal stage's
-        # PBKDF2 key stretch, PRF protos) is paid once instead of
-        # once per worker. On spawn platforms workers simply rebuild.
-        _runners_for(self._specs)
-        pool = WarmPool(self._workers, use_cache=False)
+        owned = multiprocessing.parent_process() is not None
+        pool = (
+            WarmPool(self._workers, use_cache=False)
+            if owned
+            else warm_pool(self._workers, use_cache=False)
+        )
         try:
-            yield from pool.map_ordered(
+            drain = pool.map_ordered(
                 _pool_apply,
                 (
-                    (f"chunk {index}", (self._specs, chunk, index, telemetry))
+                    (
+                        f"chunk {index}",
+                        (self._specs, chunk, index, telemetry),
+                    )
                     for index, chunk in enumerate(chunks)
                 ),
                 window=self._workers * 4,
                 error=SafeguardError,
             )
+            try:
+                yield from drain
+            finally:
+                drain.close()
         finally:
-            pool.shutdown()
+            if owned:
+                pool.shutdown()
 
     def _metrics(
         self,

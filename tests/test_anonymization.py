@@ -36,6 +36,20 @@ class TestIPAnonymizer:
         with pytest.raises(AnonymizationError):
             IPAnonymizer(KEY).anonymize("999.1.2.3")
 
+    # Arabic-Indic digits and a superscript two: str.isdigit accepts
+    # both, ipaddress rejects both.
+    @pytest.mark.parametrize(
+        "address",
+        ["١.٢.٣.٤", "1.2.3.²"],
+        ids=["arabic-indic", "superscript"],
+    )
+    def test_non_ascii_digits_rejected(self, address):
+        anonymizer = IPAnonymizer(KEY)
+        with pytest.raises(AnonymizationError):
+            anonymizer.anonymize(address)
+        with pytest.raises(AnonymizationError):
+            anonymizer.anonymize_many(["192.0.2.1", address])
+
     def test_deterministic_per_key(self):
         first = IPAnonymizer(KEY)
         second = IPAnonymizer(KEY)

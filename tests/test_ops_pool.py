@@ -470,6 +470,310 @@ class TestWorkerLoss:
         assert events[-1].action == "worker-lost"
 
 
+def _write_requests(path, count: int):
+    ops = ({"op": "stats"}, {"op": "legend"}, {"op": "intervals"})
+    path.write_text(
+        "".join(
+            json.dumps(ops[index % len(ops)]) + "\n"
+            for index in range(count)
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+def _assert_log_unchanged(log, payload: dict, before: bytes) -> None:
+    """The closed log holds exactly the audited run's chain."""
+    from repro.ops import execute
+
+    assert log.read_bytes() == before
+    observability = payload["observability"]
+    verified = execute(
+        "audit.verify",
+        {
+            "log": str(log),
+            "expect_length": observability["audit_events"],
+            "expect_tail": observability["tail_digest"],
+        },
+    )
+    assert verified.payload["intact"], verified.text
+
+
+class TestInheritedObserver:
+    """Warm workers forked inside ``observed(...)`` forget its trail.
+
+    A pool's workers fork on the first submission, inside whatever
+    observer the coordinator has installed. Later runs without
+    telemetry must not write into that (closed) audit log: each
+    unaudited run below emits far more than one 256-line block of
+    worker events, so an inherited trail would reach the file.
+    """
+
+    def test_unaudited_batches_leave_the_audit_log_unchanged(
+        self, tmp_path
+    ):
+        from repro.ops import execute
+
+        log = tmp_path / "audit.jsonl"
+        args = {"workers": 2, "warm": True, "no_cache": True}
+        audited = execute(
+            "batch",
+            {
+                **args,
+                "requests": str(
+                    _write_requests(tmp_path / "audited.jsonl", 40)
+                ),
+                "audit_log": str(log),
+            },
+        )
+        before = log.read_bytes()
+        bulk = _write_requests(tmp_path / "bulk.jsonl", 400)
+        for _ in range(2):
+            execute("batch", {**args, "requests": str(bulk)})
+        assert warm_pool(2, False).rebuilds == 0
+        _assert_log_unchanged(log, audited.payload, before)
+
+    def test_unaudited_pipelines_leave_the_audit_log_unchanged(
+        self, tmp_path
+    ):
+        from repro.ops import execute
+        from repro.ops.pool import active_pools
+
+        log = tmp_path / "audit.jsonl"
+        args = {"users": 100, "days": 30, "workers": 2, "chunk_size": 16}
+        audited = execute("pipeline", {**args, "audit_log": str(log)})
+        # The run's workers stay up on the shared registry pool.
+        assert [
+            (pool.workers, pool.use_cache, pool.live)
+            for pool in active_pools()
+        ] == [(2, False, True)]
+        before = log.read_bytes()
+        for _ in range(6):
+            execute("pipeline", args)
+        assert warm_pool(2, False).rebuilds == 0
+        _assert_log_unchanged(log, audited.payload, before)
+
+
+def _worker_pids(pool: WarmPool) -> set[int]:
+    return set(pool._executor._processes)
+
+
+class TestPipelineOnWarmPool:
+    """``pipeline`` runs on the process-lifetime ``warm_pool``."""
+
+    def _run(self, workers: int):
+        import hashlib
+
+        from repro.datasets import BooterDatabaseGenerator
+        from repro.pipeline import SafeguardPipeline, default_stages
+
+        stages = default_stages(
+            anonymize_key=hashlib.sha256(b"warm-anon").digest(),
+            pseudonymize_key=hashlib.sha256(b"warm-pseudo").digest(),
+            seal_passphrase="warm-passphrase",
+        )
+        source = BooterDatabaseGenerator(3).iter_records(
+            chunk_size=128, users=60, days=20
+        )
+        return SafeguardPipeline(
+            stages, workers=workers, chunk_size=64
+        ).run(source)
+
+    def test_consecutive_runs_share_one_live_pool(self):
+        serial = self._run(1)
+        first = self._run(2)
+        pool = warm_pool(2, False)
+        assert pool.live
+        pids, rebuilds = _worker_pids(pool), pool.rebuilds
+        assert len(pids) == 2
+        second = self._run(2)
+        assert warm_pool(2, False) is pool
+        assert _worker_pids(pool) == pids
+        assert pool.rebuilds == rebuilds
+        for result in (first, second):
+            assert result.records == serial.records
+            assert result.artifacts == serial.artifacts
+
+    def test_runner_cache_stays_bounded(self, monkeypatch):
+        from repro.pipeline import ScrubTextSpec
+        from repro.pipeline import core
+
+        monkeypatch.setattr(core, "_RUNNER_CACHE", {})
+        specs = [
+            (ScrubTextSpec(fields=(f"field{n}",)),)
+            for n in range(core._RUNNER_CACHE_SIZE + 3)
+        ]
+        for spec_tuple in specs:
+            runners = core._runners_for(spec_tuple)
+            assert core._runners_for(spec_tuple) is runners
+            assert len(core._RUNNER_CACHE) <= core._RUNNER_CACHE_SIZE
+        # Oldest first out: the last bound-many spec tuples remain.
+        assert list(core._RUNNER_CACHE) == specs[
+            -core._RUNNER_CACHE_SIZE:
+        ]
+
+    def test_shutdown_leaves_no_active_pools(self):
+        from repro.ops.pool import active_pools
+
+        self._run(2)
+        assert active_pools() == (warm_pool(2, False),)
+        assert shutdown_warm_pools() == 1
+        assert active_pools() == ()
+
+
+#: Runs in a fresh interpreter, so a hang fails one test on its
+#: timeout instead of blocking the suite. The coordinator's
+#: ``warm_pool(2, False)`` is live before the batches, and the warm
+#: uncached 2-worker batch runs on that same pool, so every batch
+#: worker inherits a registry entry for the key its pipeline
+#: requests ask for.
+_NESTED_PIPELINE_SCRIPT = """
+import json, sys
+from repro.ops import BatchExecutor, execute, load_requests
+from repro.ops.pool import active_pools
+
+def counters(metrics):
+    return [
+        {
+            key: value
+            for key, value in stage.items()
+            if not key.startswith("cache_")
+            and key not in ("seconds", "records_per_second")
+        }
+        for stage in metrics["stages"]
+    ]
+
+args = {"users": 60, "days": 20, "workers": 2, "chunk_size": 64}
+serial = counters(execute("pipeline", {**args, "workers": 1}).payload)
+execute("pipeline", args)
+for _ in range(2):
+    result = BatchExecutor(
+        workers=2, use_cache=False, warm=True, chunk_size=1
+    ).run(load_requests(sys.argv[1]))
+    assert all(line["ok"] for line in result.lines), result.lines
+    for line in result.lines:
+        assert counters(json.loads(line["output"])) == serial
+print(len(active_pools()))
+"""
+
+
+class TestPipelineInsidePoolWorker:
+    """A ``pipeline`` request served by a warm ``batch`` worker."""
+
+    def test_nested_pipelines_complete_on_their_own_pools(
+        self, tmp_path
+    ):
+        import signal
+        import subprocess
+        import sys
+
+        requests = tmp_path / "pipelines.jsonl"
+        line = {
+            "op": "pipeline",
+            "args": {
+                "users": 60,
+                "days": 20,
+                "workers": 2,
+                "chunk_size": 64,
+            },
+        }
+        requests.write_text(
+            (json.dumps(line) + "\n") * 4, encoding="utf-8"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(
+                    None,
+                    [
+                        os.path.join(
+                            os.path.dirname(__file__), "..", "src"
+                        ),
+                        os.environ.get("PYTHONPATH"),
+                    ],
+                )
+            ),
+        }
+        child = subprocess.Popen(
+            [sys.executable, "-c", _NESTED_PIPELINE_SCRIPT, str(requests)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            # Take the hung workers down with the interpreter.
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("nested pipeline runs hung")
+        assert child.returncode == 0, stderr
+        # Only the coordinator's own pool is registered: the nested
+        # runs shut theirs down.
+        assert stdout.split() == ["1"]
+
+
+class TestDrainClosedOnEveryExit:
+    """A run that fails anywhere cancels its queued chunks."""
+
+    def _pipeline(self):
+        from repro.pipeline import ScrubTextSpec, SafeguardPipeline
+
+        return SafeguardPipeline(
+            (ScrubTextSpec(fields=("text",)),), workers=2, chunk_size=4
+        )
+
+    def _closes(self, monkeypatch) -> list[int]:
+        from repro.ops.pool import OrderedDrain
+
+        closes: list[int] = []
+        close = OrderedDrain.close
+
+        def recording_close(drain):
+            closes.append(len(drain))
+            close(drain)
+
+        monkeypatch.setattr(OrderedDrain, "close", recording_close)
+        return closes
+
+    def test_failing_source(self, monkeypatch):
+        closes = self._closes(monkeypatch)
+
+        def source():
+            for index in range(200):
+                if index == 100:
+                    raise ValueError("source broke")
+                yield {"text": f"record {index}"}
+
+        with pytest.raises(ValueError, match="source broke"):
+            self._pipeline().run(source())
+        assert closes and closes[0] > 0
+        records = [{"text": "after"}] * 40
+        assert self._pipeline().run(records).records == records
+        assert warm_pool(2, False).rebuilds == 0
+
+    def test_failing_consumer(self, monkeypatch):
+        from repro.pipeline import core
+
+        closes = self._closes(monkeypatch)
+        seen = []
+
+        def record_chunk(self, registry, stage_stats):
+            seen.append(stage_stats)
+            if len(seen) == 2:
+                raise RuntimeError("merge broke")
+
+        monkeypatch.setattr(
+            core.SafeguardPipeline, "_record_chunk", record_chunk
+        )
+        records = [{"text": f"record {n}"} for n in range(200)]
+        with pytest.raises(RuntimeError, match="merge broke"):
+            self._pipeline().run(records)
+        assert closes and closes[0] > 0
+
+
 class TestStaticcheckOverPool:
     def test_r8_r9_stay_clean_over_pool_submission_sites(self):
         """The interprocedural rules pass over the new subsystem."""

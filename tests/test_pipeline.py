@@ -124,6 +124,71 @@ class TestParallelEqualsSerial:
         assert fingerprint(parallel) == fingerprint(serial)
 
 
+#: BLAKE2b-256 over the records (key-sorted ``json.dumps``) and then
+#: every sealed artifact of a four-stage run of :func:`booter_source`.
+PIPELINE_BLAKE2B = (
+    "ffe46501dffb01b611dff186ac33c540"
+    "ed8505e2182ce71de11df423ad29ccdd"
+)
+
+#: Addresses pushed through one ``anonymize_many`` call: IPv6 of
+#: several shapes (shared /32, loopback, link-local, IPv4-mapped,
+#: multicast, a duplicate) mixed with IPv4, in unsorted order.
+GOLDEN_ADDRESSES = (
+    "2001:db8::1",
+    "2001:db8:0:1::1",
+    "198.51.100.7",
+    "::1",
+    "fe80::1ff:fe23:4567:890a",
+    "2001:db8::1",
+    "::ffff:192.0.2.1",
+    "ff02::1",
+    "2001:db8:ffff:ffff:ffff:ffff:ffff:ffff",
+    "10.0.0.1",
+)
+
+#: BLAKE2b-256 over the newline-joined ``anonymize_many`` output.
+ADDRESSES_BLAKE2B = (
+    "91fa8bfade7b26496a6f5cf81337e956"
+    "80660faf2282a4f3137f1a84823b56ed"
+)
+
+
+class TestOutputBytesGolden:
+    """Pins the anonymized and sealed bytes, not only their counters.
+
+    The parallel-equals-serial tests compare two paths of the same
+    code; these literals hold the output fixed across changes to the
+    anonymizer's hot path and the pool the stages run on.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_four_stage_run(self, workers):
+        result = SafeguardPipeline(
+            all_stages(), workers=workers, chunk_size=128
+        ).run(booter_source())
+        digest = hashlib.blake2b(
+            json.dumps(result.records, sort_keys=True).encode(),
+            digest_size=32,
+        )
+        for blob in result.artifacts:
+            digest.update(blob)
+        assert len(result.artifacts) == result.metrics["chunks"]
+        assert digest.hexdigest() == PIPELINE_BLAKE2B
+
+    def test_anonymize_many_mixed_families(self):
+        anonymizer = IPAnonymizer(ANON_KEY)
+        mapped = anonymizer.anonymize_many(GOLDEN_ADDRESSES)
+        assert mapped == [
+            IPAnonymizer(ANON_KEY).anonymize(address)
+            for address in GOLDEN_ADDRESSES
+        ]
+        digest = hashlib.blake2b(
+            "\n".join(mapped).encode(), digest_size=32
+        ).hexdigest()
+        assert digest == ADDRESSES_BLAKE2B
+
+
 class TestStages:
     def test_anonymize_rewrites_ip_fields_prefix_preserving(self):
         records = [

@@ -339,3 +339,25 @@ class TestWorkerLoss:
         ]
         assert observer.trail.verify().ok
         assert [b.kind for b in recorder.incidents] == ["worker-lost"]
+
+    def test_next_run_succeeds_on_a_rebuilt_pool(self):
+        from repro.ops import warm_pool
+
+        healthy = SafeguardPipeline(
+            all_stages(), workers=2, chunk_size=128
+        )
+        healthy.run(booter_source())
+        pool = warm_pool(2, False)
+        rebuilds = pool.rebuilds
+        with pytest.raises(SafeguardError):
+            SafeguardPipeline(
+                (CrashingSpec(),), workers=2, chunk_size=128
+            ).run(booter_source())
+        assert (pool.live, pool.rebuilds) == (False, rebuilds + 1)
+        serial = SafeguardPipeline(
+            all_stages(), workers=1, chunk_size=128
+        ).run(booter_source())
+        recovered = healthy.run(booter_source())
+        assert pool.live
+        assert recovered.records == serial.records
+        assert recovered.artifacts == serial.artifacts
