@@ -1,13 +1,14 @@
 """The append-only audit trail and its chain verifier.
 
-:class:`AuditTrail` accumulates hash-chained
-:class:`~repro.observability.events.AuditEvent` records in memory
-and, when given a path, mirrors them as JSONL lines written in
-blocks of :data:`BLOCK_LINES` whole lines (and on
-:meth:`~AuditTrail.close`). The on-disk log is therefore always a
-whole-line, verifiable prefix of the in-memory chain that can be
-inspected while the process is still running; it lags the chain by
-at most one unwritten block, which is also the most a crash loses.
+:class:`AuditTrail` hash-chains
+:class:`~repro.observability.events.AuditEvent` records, keeping only
+the chain's tail, and when given a path writes them as JSONL lines
+in blocks of :data:`BLOCK_LINES` whole lines (and on
+:meth:`~AuditTrail.close`), continuing an existing log. The on-disk
+log is therefore always a whole-line, verifiable prefix of the chain
+that can be inspected while the process is still running; it lags
+the chain by at most one unwritten block, which is also the most a
+crash loses.
 
 Verification (:func:`verify_events` / :func:`verify_jsonl`) walks the
 chain once and reports a :class:`ChainVerification` that **localizes
@@ -30,6 +31,8 @@ the first corrupted record**:
 from __future__ import annotations
 
 import dataclasses
+import os
+from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -150,26 +153,32 @@ def verify_events(
     )
 
 
-def _read_log(path: str | Path) -> Iterator[AuditEvent]:
-    """The line reader shared by :func:`load_events` and
-    :func:`verify_jsonl`.
+def _read_log(
+    path: str | Path | None, unwritten: bytes = b""
+) -> Iterator[AuditEvent]:
+    """The line reader shared by :func:`load_events`,
+    :func:`verify_jsonl` and :class:`AuditTrail`.
 
-    Reads the whole file now — an unreadable file raises
-    :class:`~repro.errors.SafeguardError` here — and returns an
-    iterator parsing one non-blank line per step. A line that is not
-    UTF-8 or not a valid record raises ``SafeguardError`` naming its
-    line number.
+    Reads the whole file at *path* (if any) now — an unreadable file
+    raises :class:`~repro.errors.SafeguardError` here — and returns
+    an iterator parsing one non-blank line per step, of the file and
+    then of *unwritten*. A line that is not UTF-8 or not a valid
+    record raises ``SafeguardError`` naming its line number.
     """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise SafeguardError(
-            f"cannot read audit log {path}: {exc}"
-        ) from exc
+    data = b""
+    if path is not None:
+        path = Path(path)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise SafeguardError(
+                f"cannot read audit log {path}: {exc}"
+            ) from exc
 
     def parse() -> Iterator[AuditEvent]:
-        for number, line in enumerate(data.splitlines(), start=1):
+        for number, line in enumerate(
+            (data + unwritten).splitlines(), start=1
+        ):
             if not line.strip():
                 continue
             try:
@@ -180,6 +189,45 @@ def _read_log(path: str | Path) -> Iterator[AuditEvent]:
                 ) from exc
 
     return parse()
+
+
+def _last_record(path: Path) -> tuple[int, str]:
+    """``(next sequence, tail digest)`` continuing the log at *path*.
+
+    Reads back only as far as the last non-blank line, which must be
+    a whole record whose digest recomputes, else raises
+    :class:`~repro.errors.SafeguardError`. Verifying the earlier
+    lines is ``audit verify``'s job. A missing or blank file starts
+    a new chain.
+    """
+    try:
+        with path.open("rb") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            window = 4096
+            while True:
+                handle.seek(max(0, size - window))
+                data = handle.read()
+                body = data.rstrip()
+                cut = max(body.rfind(b"\n"), body.rfind(b"\r"))
+                if cut >= 0 or window >= size:
+                    break
+                window *= 2
+    except FileNotFoundError:
+        return 0, GENESIS_DIGEST
+    if not body:
+        return 0, GENESIS_DIGEST
+    try:
+        if b"\n" not in data[len(body):]:
+            raise SafeguardError("it is cut mid-line")
+        event = AuditEvent.from_json(body[cut + 1:].decode("utf-8"))
+        if event.compute_digest() != event.digest:
+            raise SafeguardError("its digest does not match its content")
+    except (UnicodeDecodeError, SafeguardError) as exc:
+        raise SafeguardError(
+            f"cannot continue audit log {path}: its last line is not "
+            f"an intact record ({exc})"
+        ) from exc
+    return event.sequence + 1, event.digest
 
 
 def load_events(path: str | Path) -> list[AuditEvent]:
@@ -215,30 +263,33 @@ def verify_jsonl(
 class AuditTrail:
     """Append-only, hash-chained audit trail with optional JSONL sink.
 
-    With a ``path`` appended events are buffered as encoded JSONL
-    lines and written (then flushed) as one block every
-    :data:`BLOCK_LINES` events and on :meth:`close`, so the on-disk
-    log is always a whole-line prefix of the in-memory chain that
-    verifies on its own, lagging it by at most one block. Each event
-    is encoded once (:func:`~repro.observability.events.encode_event`)
-    for both its digest and its line. The trail never stores wall
-    time — see :mod:`repro.observability.events` for why.
+    Its state is the next sequence number, the tail digest and the
+    unwritten lines. With a ``path`` the lines are written (then
+    flushed) as one block every :data:`BLOCK_LINES` events and on
+    :meth:`close`, and an existing log is continued
+    (:func:`_last_record`); without one the unwritten lines are the
+    whole log. Iteration, :meth:`tail` and :meth:`verify` read the log
+    back. Each event is encoded once
+    (:func:`~repro.observability.events.encode_event`) for both its
+    digest and its line; no wall time is stored — see
+    :mod:`repro.observability.events` for why.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
-        self._events: list[AuditEvent] = []
         self._path = Path(path) if path is not None else None
         self._sink = None
         self._pending: list[str] = []
+        self._sequence, self._tail = 0, GENESIS_DIGEST
+        self._size = 0  # the file's size if this trail is its one writer
         if self._path is not None:
             try:
-                self._sink = self._path.open(
-                    "a", encoding="utf-8"
-                )
+                self._sequence, self._tail = _last_record(self._path)
+                self._sink = self._path.open("ab")
             except OSError as exc:
                 raise SafeguardError(
                     f"cannot open audit log {self._path}: {exc}"
                 ) from exc
+            self._size = self._sink.tell()
 
     @property
     def path(self) -> Path | None:
@@ -253,57 +304,75 @@ class AuditTrail:
         **detail: object,
     ) -> AuditEvent:
         """Append one chained event; returns the sealed record."""
-        sequence = len(self._events)
-        previous = self.tail_digest
+        sequence, previous = self._sequence, self._tail
         digest, line = encode_event(
             sequence, category, action, subject, detail, previous
         )
-        event = AuditEvent(
+        self._sequence, self._tail = sequence + 1, digest
+        self._pending.append(line)
+        if self._sink is not None and len(self._pending) >= BLOCK_LINES:
+            self._write_block()
+        return AuditEvent(
             sequence, category, action, subject, detail, previous, digest
         )
-        self._events.append(event)
-        if self._sink is not None:
-            self._pending.append(line)
-            if len(self._pending) >= BLOCK_LINES:
-                self._write_block()
-        return event
+
+    def _unwritten(self) -> bytes:
+        return "".join(f"{line}\n" for line in self._pending).encode()
 
     def _write_block(self) -> None:
         """Write every buffered line as one block and flush it."""
-        self._sink.write("\n".join(self._pending) + "\n")
+        block = self._unwritten()
+        self._sink.write(block)
         self._sink.flush()
+        self._size += len(block)
         self._pending = []
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(self._events)
+        return _read_log(self._path, self._unwritten())
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._sequence
 
     @property
     def tail_digest(self) -> str:
         """The digest anchoring the chain's current end."""
-        return (
-            self._events[-1].digest
-            if self._events
-            else GENESIS_DIGEST
-        )
+        return self._tail
 
     def tail(self, count: int = 10) -> tuple[AuditEvent, ...]:
         """The last *count* events, oldest first."""
         if count < 1:
             raise SafeguardError("tail count must be positive")
-        return tuple(self._events[-count:])
+        return tuple(deque(self, maxlen=count))
 
     def verify(self) -> ChainVerification:
-        """Verify the in-memory chain (see :func:`verify_events`)."""
-        return verify_events(self._events)
+        """Verify the log against the trail's length and tail digest
+        (see :func:`verify_events`)."""
+        return verify_events(
+            self,
+            expected_length=self._sequence,
+            expected_tail_digest=self._tail,
+        )
+
+    def anchors(self) -> dict:
+        """A closed path-backed trail's run summary: the anchors
+        ``audit verify`` takes, over the whole log, and
+        ``chain_intact`` — an O(1) check, with no re-hash, that the
+        file's size is its size at open plus the bytes written here,
+        which a second writer or a truncation breaks."""
+        path = self._path
+        return {
+            "audit_events": self._sequence,
+            "audit_log": str(path),
+            "chain_intact": path.is_file()
+            and path.stat().st_size == self._size,
+            "tail_digest": self._tail,
+        }
 
     def close(self) -> None:
         """Write the buffered block and close the JSONL sink, if any.
 
-        After this the on-disk log holds the whole chain; the trail
-        stays readable in memory.
+        After this the on-disk log holds the whole chain; a later
+        event is kept as an unwritten line.
         """
         if self._sink is not None:
             if self._pending:

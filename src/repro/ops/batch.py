@@ -669,21 +669,12 @@ def _run_batch(request: dict, ctx: RunContext) -> OpResponse:
         )
     observability = None
     if request["audit_log"] is not None:
-        observer = ctx.make_observer(request["audit_log"]).attach(
+        observer = Observer.recording(request["audit_log"]).attach(
             flight=recorder
         )
-        with observed(observer):
-            try:
-                result = executor.run(requests)
-            finally:
-                observer.trail.close()
-        verification = observer.trail.verify()
-        observability = {
-            "audit_events": len(observer.trail),
-            "audit_log": str(observer.trail.path),
-            "chain_intact": verification.ok,
-            "tail_digest": observer.trail.tail_digest,
-        }
+        with observed(observer), observer.trail:
+            result = executor.run(requests)
+        observability = observer.trail.anchors()
     elif recorder is not None:
         with observed(Observer(flight=recorder)):
             result = executor.run(requests)

@@ -92,12 +92,13 @@ def _run_pipeline(request: dict, ctx: RunContext) -> OpResponse:
             text=emit_json(result.metrics) + "\n",
         )
 
+    import contextlib
     from pathlib import Path
 
-    from ..observability import SamplingProfiler, observed
+    from ..observability import Observer, SamplingProfiler, observed
 
     if audit_log is not None:
-        observer = ctx.make_observer(audit_log)
+        observer = Observer.recording(audit_log)
     else:
         # --profile without --audit-log still needs a live observer
         # (the profiler obeys the master switch and reads the active
@@ -106,24 +107,17 @@ def _run_pipeline(request: dict, ctx: RunContext) -> OpResponse:
     profiler = (
         SamplingProfiler() if profile_path is not None else None
     )
-    try:
-        with observed(observer):
-            if profiler is not None:
-                with profiler:
-                    result = pipeline.run(source)
-            else:
-                result = pipeline.run(source)
-    finally:
-        if audit_log is not None:
-            observer.trail.close()
+    unused = contextlib.nullcontext()
+    with (
+        observed(observer),
+        unused if audit_log is None else observer.trail,
+        unused if profiler is None else profiler,
+    ):
+        result = pipeline.run(source)
     output = dict(result.metrics)
     if audit_log is not None:
-        verification = observer.trail.verify()
         output["observability"] = {
-            "audit_log": str(observer.trail.path),
-            "audit_events": len(observer.trail),
-            "tail_digest": observer.trail.tail_digest,
-            "chain_intact": verification.ok,
+            **observer.trail.anchors(),
             "spans": observer.tracer.summary(),
             "metrics": observer.metrics.snapshot(),
         }
@@ -174,27 +168,23 @@ def _run_simulate_reb(request: dict, ctx: RunContext) -> OpResponse:
         payload["description"] = result.describe()
         return OpResponse(payload=payload, text=_text(lines))
 
-    from ..observability import observed
+    from ..observability import Observer, observed
 
-    observer = ctx.make_observer(request["audit_log"])
+    observer = Observer.recording(request["audit_log"])
     with observed(observer), observer.trail:
         result = simulate_reb_year(
             board, policy, seed=request["seed"]
         )
-    verification = observer.trail.verify()
+    anchors = observer.trail.anchors()
     lines = [
         f"board: {board.name}; policy: {policy.value}",
         result.describe(),
-        f"audit: {len(observer.trail)} events -> "
-        f"{observer.trail.path} ({verification.describe()})",
+        f"audit: {anchors['audit_events']} events -> "
+        f"{anchors['audit_log']} (tail digest "
+        f"{anchors['tail_digest'][:16]}…)",
     ]
     payload["description"] = result.describe()
-    payload["observability"] = {
-        "audit_events": len(observer.trail),
-        "audit_log": str(observer.trail.path),
-        "chain_intact": verification.ok,
-        "tail_digest": observer.trail.tail_digest,
-    }
+    payload["observability"] = anchors
     return OpResponse(payload=payload, text=_text(lines))
 
 

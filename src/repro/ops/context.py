@@ -9,9 +9,8 @@ threads all of it explicitly:
 * a **memoised corpus** (and its content digest, the cache key
   ingredient for pure operations),
 * the **result cache** slot (``None`` disables caching),
-* an **observer factory** so handlers that record audit trails get
-  them from the context instead of reaching into
-  ``repro.observability`` themselves,
+* a **metrics observer factory** for the profiler paths, which need
+  the master switch on without chaining any audit events,
 * the **default seed** for simulation-flavoured operations — the
   clock-free configuration knob; nothing in a context reads the
   clock or global RNG state.
@@ -109,17 +108,6 @@ class RunContext:
         """
         self.corpus()
         return self.corpus_digest()
-
-    def make_observer(self, audit_log=None):
-        """A fully enabled observer, persisting to *audit_log* if given.
-
-        Handlers that record go through the context so a future
-        server adapter can swap in pooled or pre-configured
-        observers without touching operation code.
-        """
-        from ..observability import Observer
-
-        return Observer.recording(audit_log)
 
     def make_metrics_observer(self):
         """A live observer with metrics and tracing but no trail.

@@ -45,15 +45,16 @@ once per *process lifetime* instead of once per *batch run*:
 Pools are keyed by ``(workers, cache enablement)`` in a module-level
 registry (:func:`warm_pool`); :func:`shutdown_warm_pools` tears all
 of them down (tests and benchmarks use it for isolation), and the
-first pool creation registers an ``atexit`` teardown — opt out with
-:func:`set_atexit_shutdown` — so a long-lived session never leaks
-pre-forked workers. The registry is per process: a forked worker
-inherits its parent's entries but never uses, lists or shuts them
-down. :meth:`WarmPool.health` is the liveness/
-readiness report (live workers, rebuilds, cache counters, optional
-probe round-trip) behind ``repro-ethics obs health``. Everything
-submitted to the pool is a module-level function — staticcheck rule
-R9 (worker-safety) audits every :meth:`WarmPool.map_ordered` call.
+first pool creation registers an ``atexit`` teardown, so a
+long-lived session never leaks pre-forked workers; a worker whose
+coordinator dies without it exits on its own. The registry is per
+process: a forked worker inherits its parent's entries but never
+uses, lists or shuts them down. :meth:`WarmPool.health` is the
+liveness/readiness report (live workers, rebuilds, cache counters,
+optional probe round-trip) behind ``repro-ethics obs health``.
+Everything submitted to the pool is a module-level function —
+staticcheck rule R9 (worker-safety) audits every
+:meth:`WarmPool.map_ordered` call.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ __all__ = [
     "WarmPool",
     "active_pools",
     "auto_chunk_size",
-    "set_atexit_shutdown",
     "shutdown_warm_pools",
     "warm_pool",
 ]
@@ -142,14 +142,27 @@ def _warm_worker(use_cache: bool) -> None:
     constructs the persistent worker :class:`RunContext`, and
     materialises the corpus and its content digest — the costs that
     previously made every worker's first request ~100x slower than
-    its second.
+    its second. A daemon thread ends the worker when its coordinator
+    dies, which a killed coordinator's idle workers would otherwise
+    never notice.
     """
+    import threading
+
     from .batch import _worker_context
     from .catalog import default_registry
 
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     set_observer(None)
     default_registry()
     _worker_context(use_cache).warm_up()
+
+
+def _exit_with_parent() -> None:
+    """Wait for the coordinator process to end, then end this one."""
+    import multiprocessing
+
+    multiprocessing.parent_process().join()
+    os._exit(1)
 
 
 def _execute_chunk(
@@ -528,30 +541,10 @@ class WarmPool:
 #: referenced.
 _WARM_POOLS: dict[tuple[int, int, bool], WarmPool] = {}
 
-#: Exit-hook state: registered once per process, opt-out via
-#: :func:`set_atexit_shutdown`. A dict (not two globals) so the
-#: mutation sites stay the memo-idiom shape R8 recognises.
-_ATEXIT = {"enabled": True, "registered": False}
-
-
-def _atexit_shutdown() -> None:
-    """The exit hook: tear down pools unless the user opted out."""
-    if _ATEXIT["enabled"]:
-        shutdown_warm_pools()
-
-
-def set_atexit_shutdown(enabled: bool) -> bool:
-    """Opt in or out of the exit-time pool teardown; returns the
-    previous setting.
-
-    The hook is on by default so a long-lived session (REPL, server,
-    notebook) that touched ``warm_pool()`` does not leak pre-forked
-    worker processes past interpreter exit. Embedders that manage
-    pool lifetime themselves call ``set_atexit_shutdown(False)``.
-    """
-    previous = _ATEXIT["enabled"]
-    _ATEXIT["enabled"] = bool(enabled)
-    return previous
+#: Whether the exit hook is registered: once per process, on first
+#: pool creation. A dict (not a global) so the mutation site stays
+#: the memo-idiom shape R8 recognises.
+_ATEXIT = {"registered": False}
 
 
 def active_pools() -> tuple[WarmPool, ...]:
@@ -581,7 +574,7 @@ def warm_pool(workers: int, use_cache: bool = True) -> WarmPool:
             # the module costs nothing and the hook exists exactly
             # when there is something to clean up.
             _ATEXIT["registered"] = True
-            atexit.register(_atexit_shutdown)
+            atexit.register(shutdown_warm_pools)
         pool = WarmPool(workers, use_cache=use_cache)
         _WARM_POOLS[key] = pool
     return pool

@@ -11,7 +11,7 @@ Pins down the acceptance properties of the health subsystem:
 * a data-only SLO spec change flips ``obs slo`` from exit 0 to
   exit 1 without touching a line of code;
 * ``WarmPool.health`` reports liveness/readiness and the probe
-  round-trip, and the atexit shutdown hook is opt-out.
+  round-trip, and the atexit shutdown hook is registered lazily.
 """
 
 from __future__ import annotations
@@ -706,38 +706,6 @@ class TestWarmPoolHealth:
 
 
 class TestAtexitShutdown:
-    def test_toggle_returns_previous_state(self):
-        from repro.ops.pool import set_atexit_shutdown
-
-        previous = set_atexit_shutdown(False)
-        try:
-            assert previous is True
-            assert set_atexit_shutdown(False) is False
-        finally:
-            set_atexit_shutdown(True)
-
-    def test_disabled_hook_leaves_pools_alone(self):
-        from repro.ops import pool as pool_module
-        from repro.ops.pool import (
-            active_pools,
-            set_atexit_shutdown,
-            shutdown_warm_pools,
-            warm_pool,
-        )
-
-        try:
-            pool = warm_pool(1, False)
-            assert pool in active_pools()
-            set_atexit_shutdown(False)
-            pool_module._atexit_shutdown()
-            assert pool in active_pools()
-            set_atexit_shutdown(True)
-            pool_module._atexit_shutdown()
-            assert active_pools() == ()
-        finally:
-            set_atexit_shutdown(True)
-            shutdown_warm_pools()
-
     def test_hook_registered_lazily(self):
         from repro.ops import pool as pool_module
         from repro.ops.pool import (

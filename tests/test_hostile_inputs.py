@@ -245,3 +245,60 @@ def test_lint_path_hostile_source_gives_one_error_line(
     assert len(errors) == 1
     assert errors[0].startswith("error: ")
     assert "hostile.py" in errors[0]
+
+
+def _existing_log(last: bytes) -> bytes:
+    """An audit log of one intact record followed by *last*."""
+    from repro.observability import AuditEvent
+
+    first = AuditEvent(0, "access", "grant", "p-0").sealed()
+    return first.to_json().encode() + b"\n" + last
+
+
+def _second_record() -> bytes:
+    """The intact line that would follow :func:`_existing_log`'s."""
+    from repro.observability import AuditEvent
+
+    first = AuditEvent(0, "access", "grant", "p-0").sealed()
+    second = AuditEvent(
+        1, "access", "read", "p-1", previous_digest=first.digest
+    ).sealed()
+    return second.to_json().encode() + b"\n"
+
+
+#: Existing audit logs whose last line is not an intact record.
+EXISTING_LOGS = {
+    "cut-mid-line": _existing_log(_second_record()[:-20]),
+    "not-utf8": _existing_log(_second_record().replace(b"p-1", b"p-\xff")),
+    "not-json": _existing_log(b'{"sequence": 1, "digest"\n'),
+    "stale-digest": _existing_log(
+        _second_record().replace(b"p-1", b"p-2")
+    ),
+}
+
+#: Every op that writes an ``--audit-log``, with a small workload.
+AUDITED_OPS = {
+    "batch": ["batch", "{requests}"],
+    "pipeline": ["pipeline", "--users", "20", "--days", "5"],
+    "simulate-reb": ["simulate-reb", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("log_case", sorted(EXISTING_LOGS))
+@pytest.mark.parametrize("op", sorted(AUDITED_OPS))
+def test_corrupt_existing_log_is_refused_untouched(
+    op, log_case, tmp_path, capsys
+):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text('{"op": "stats"}\n', encoding="utf-8")
+    log = tmp_path / "audit.jsonl"
+    log.write_bytes(EXISTING_LOGS[log_case])
+    argv = [arg.format(requests=requests) for arg in AUDITED_OPS[op]]
+    code = main([*argv, "--audit-log", str(log)])
+    captured = capsys.readouterr()
+    assert code == describe_failure(SafeguardError("probe"))[1]
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ")
+    assert str(log) in errors[0]
+    assert log.read_bytes() == EXISTING_LOGS[log_case]

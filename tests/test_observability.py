@@ -33,6 +33,7 @@ from repro.observability import (
     GENESIS_DIGEST,
     NULL_METRICS,
     NULL_TRACER,
+    AuditEvent,
     AuditTrail,
     MetricsRegistry,
     Observer,
@@ -199,6 +200,106 @@ class TestFlushPoint:
         trail.event("access", "revoke")
         assert len(trail) == 2 and trail.verify().ok
         assert verify_jsonl(path).length == 1
+
+
+class TestStatelessTrail:
+    """A trail is its sequence, tail digest and unwritten lines."""
+
+    @staticmethod
+    def _peak(path, count: int) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with AuditTrail(path) as trail:
+                for index in range(count):
+                    trail.event("access", "grant", subject=f"p-{index}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_chain(self, tmp_path):
+        small = self._peak(tmp_path / "small.jsonl", 2_000)
+        large = self._peak(tmp_path / "large.jsonl", 20_000)
+        assert large < 2 * small, (small, large)
+
+    def test_reads_back_through_the_log(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        trail = AuditTrail(path)
+        for index in range(BLOCK_LINES + 3):
+            trail.event("access", "grant", subject=f"p-{index}")
+        # Written block plus unwritten lines, without a flush.
+        assert verify_jsonl(path).length == BLOCK_LINES
+        assert [event.sequence for event in trail.tail(2)] == [
+            BLOCK_LINES + 1,
+            BLOCK_LINES + 2,
+        ]
+        assert trail.verify() == verify_events(
+            list(trail), expected_length=BLOCK_LINES + 3
+        )
+        assert verify_jsonl(path).length == BLOCK_LINES
+        trail.close()
+        assert trail.verify() == verify_jsonl(path)
+
+    def test_existing_log_is_continued(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        with AuditTrail(path) as first:
+            first.event("access", "grant")
+            first.event("access", "read")
+        with AuditTrail(path) as second:
+            assert len(second) == 2
+            assert second.tail_digest == first.tail_digest
+            event = second.event("access", "revoke")
+        assert event.sequence == 2
+        assert event.previous_digest == first.tail_digest
+        verification = verify_jsonl(
+            path,
+            expected_length=len(second),
+            expected_tail_digest=second.tail_digest,
+        )
+        assert verification.ok and verification.length == 3
+        assert second.anchors()["chain_intact"] is True
+
+    def test_last_line_longer_than_the_read_window(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        with AuditTrail(path) as first:
+            first.event("access", "grant", note="x" * 20_000)
+        path.write_bytes(path.read_bytes() + b"\n\n")
+        with AuditTrail(path) as second:
+            second.event("access", "revoke")
+        assert verify_jsonl(
+            path, expected_tail_digest=second.tail_digest
+        ).length == 2
+
+    def test_blank_log_starts_a_new_chain(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        path.write_bytes(b"\n  \n")
+        with AuditTrail(path) as trail:
+            trail.event("access", "grant")
+        assert verify_jsonl(path, expected_length=1).ok
+
+    def test_second_writer_breaks_chain_intact(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        trail = AuditTrail(path)
+        trail.event("access", "grant")
+        with path.open("a", encoding="utf-8") as other:
+            other.write(
+                AuditEvent(5, "access", "forged").sealed().to_json() + "\n"
+            )
+        trail.event("access", "revoke")
+        trail.close()
+        assert trail.anchors()["chain_intact"] is False
+        assert not trail.verify().ok
+
+    def test_truncation_breaks_chain_intact(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        with AuditTrail(path) as trail:
+            for index in range(3):
+                trail.event("access", "grant", subject=f"p-{index}")
+        assert trail.anchors()["chain_intact"] is True
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        assert trail.anchors()["chain_intact"] is False
 
 
 _RESERVED = {"self", "category", "action", "subject"}
@@ -454,6 +555,20 @@ class TestCliEndToEnd:
             load_events(log_path)
         )
         assert cli_main(["audit", "verify", str(log_path)]) == 0
+        assert (
+            cli_main(
+                [
+                    "audit",
+                    "verify",
+                    str(log_path),
+                    "--expect-length",
+                    str(observability["audit_events"]),
+                    "--expect-tail",
+                    observability["tail_digest"],
+                ]
+            )
+            == 0
+        )
         capsys.readouterr()
 
     def test_span_counts_invariant_under_workers(
@@ -506,6 +621,37 @@ class TestCliEndToEnd:
         )
         capsys.readouterr()
         assert status == 1
+
+    def test_rerun_on_one_log_is_one_chain(self, tmp_path, capsys):
+        from repro.ops import execute
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"op": "stats"}\n{"op": "legend"}\n', encoding="utf-8"
+        )
+        log_path = tmp_path / "audit.jsonl"
+        summaries = [
+            execute(
+                "batch",
+                {"requests": str(requests), "audit_log": str(log_path)},
+            ).payload["observability"]
+            for _ in range(2)
+        ]
+        first, second = summaries
+        assert first["chain_intact"] and second["chain_intact"]
+        assert second["audit_events"] == 2 * first["audit_events"]
+        status = cli_main(
+            [
+                "audit",
+                "verify",
+                str(log_path),
+                "--expect-length",
+                str(second["audit_events"]),
+                "--expect-tail",
+                second["tail_digest"],
+            ]
+        )
+        assert status == 0, capsys.readouterr().out
 
     def test_simulate_reb_audit_log(self, tmp_path, capsys):
         log_path = tmp_path / "reb.jsonl"

@@ -657,6 +657,22 @@ print(len(active_pools()))
 """
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter importing ``src/``."""
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(
+                None,
+                [
+                    os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH"),
+                ],
+            )
+        ),
+    }
+
+
 class TestPipelineInsidePoolWorker:
     """A ``pipeline`` request served by a warm ``batch`` worker."""
 
@@ -680,23 +696,9 @@ class TestPipelineInsidePoolWorker:
         requests.write_text(
             (json.dumps(line) + "\n") * 4, encoding="utf-8"
         )
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(
-                filter(
-                    None,
-                    [
-                        os.path.join(
-                            os.path.dirname(__file__), "..", "src"
-                        ),
-                        os.environ.get("PYTHONPATH"),
-                    ],
-                )
-            ),
-        }
         child = subprocess.Popen(
             [sys.executable, "-c", _NESTED_PIPELINE_SCRIPT, str(requests)],
-            env=env,
+            env=_child_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -713,6 +715,64 @@ class TestPipelineInsidePoolWorker:
         # Only the coordinator's own pool is registered: the nested
         # runs shut theirs down.
         assert stdout.split() == ["1"]
+
+
+#: A coordinator that starts a 2-worker warm pool, prints the worker
+#: pids and then waits to be killed.
+_ORPHAN_SCRIPT = """
+import time
+from repro.ops.pool import warm_pool
+
+pool = warm_pool(2, False)
+pool.start()
+print(*sorted(pool._executor._processes), flush=True)
+time.sleep(600)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs (a zombie has exited; only unreaped)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state in /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            env=_child_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            child.kill()
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in pids if _alive(pid)]
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestDrainClosedOnEveryExit:
