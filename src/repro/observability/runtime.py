@@ -16,9 +16,12 @@ test and a return — the E12 benchmark budget ("auditing off means no
 measurable slowdown") is met by construction, not by sprinkling
 ``if audit_enabled:`` at call sites.
 
-Worker processes spawned by the pipeline inherit this module fresh
-and therefore start disabled; when the coordinator observes, each
-chunk runs under a per-chunk capture observer
+Warm-pool workers are forked, so they inherit the coordinator's
+installed observer, its open trail included;
+:func:`repro.ops.pool._warm_worker` therefore installs the disabled
+observer (``set_observer(None)``) before serving anything, and no
+worker ever writes to the coordinator's trail. When the coordinator
+observes, each chunk runs under a per-chunk capture observer
 (:class:`~repro.observability.worker.TelemetryShard`) whose shard
 ships back with the chunk result for in-order replay. The
 coordinator's trail stays the chain's single writer, and the chain

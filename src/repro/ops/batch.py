@@ -39,7 +39,10 @@ chain in input order — coordinator-served cache hits emit the same
 bracket inline, so the chain content stays invariant under both the
 worker count and the dispatch plan. The plan computes each pure
 request's canonical form and cache key once; the chunk entry carries
-both to the worker, which serves under them.
+both to the worker, which serves under them. A coordinator-served
+cache hit finds by that key the transcript body its cache entry
+keeps (:meth:`~repro.ops.cache.ResultCache.body`), so a repeated hit
+encodes only its line's four-member head.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ import dataclasses
 import json
 import time
 from collections.abc import Sequence
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ..errors import BatchError, ReproError
@@ -95,18 +100,51 @@ class BatchRequest:
     args: dict
 
 
+def _line_body(line: dict) -> str:
+    """The encoded ``"output":…,"payload":…`` of a successful line."""
+    return emit_jsonl(
+        {"output": line["output"], "payload": line["payload"]}
+    )[1:-1]
+
+
+def _encode_line(line: dict, body: str | None) -> str:
+    """One transcript line, byte-identical to ``emit_jsonl(line)``.
+
+    A successful line's four small members (``exit_code``,
+    ``index``, ``ok``, ``op``) sort before ``output`` and
+    ``payload``, so the line is that head joined to the body: the
+    kept *body* of a cache hit, or one encoded now. A failed line is
+    encoded whole.
+    """
+    if "output" not in line:
+        return emit_jsonl(line) + "\n"
+    if body is None:
+        body = _line_body(line)
+    ok = "true" if line["ok"] else "false"
+    return (
+        f'{{"exit_code":{line["exit_code"]},"index":{line["index"]},'
+        f'"ok":{ok},"op":{encode_basestring_ascii(line["op"])},'
+        f"{body}}}\n"
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class BatchResult:
-    """Everything a batch run produced: ordered lines + summary."""
+    """Everything a batch run produced: ordered lines + summary.
+
+    ``bodies`` holds, per line, the body its cache entry keeps (a
+    coordinator-served hit) or ``None`` (encoded by :meth:`text`).
+    """
 
     lines: tuple[dict, ...]
     summary: dict
+    bodies: tuple[str | None, ...] = dataclasses.field(
+        repr=False, compare=False
+    )
 
     def text(self) -> str:
         """The JSONL transcript (one compact line per request)."""
-        return "".join(
-            emit_jsonl(line) + "\n" for line in self.lines
-        )
+        return "".join(map(_encode_line, self.lines, self.bodies))
 
 
 def _parse_request(
@@ -420,7 +458,7 @@ class BatchExecutor:
             else WarmPool(self.workers, use_cache=self.use_cache)
         )
         try:
-            lines, cache_stats = self._dispatch(
+            lines, bodies, cache_stats = self._dispatch(
                 pool, requests, operations
             )
         except ReproError as exc:
@@ -477,7 +515,7 @@ class BatchExecutor:
         }
         if cache_stats is not None:
             summary["cache"].update(cache_stats)
-        return BatchResult(lines=lines, summary=summary)
+        return BatchResult(lines=lines, summary=summary, bodies=bodies)
 
     def _cache_scope(self) -> str:
         """The summary label for where cached results live."""
@@ -501,18 +539,17 @@ class BatchExecutor:
         scheduled on an earlier chunk of this run: the ordered drain
         guarantees the earlier chunk's results merge in before the
         duplicate is served. Everything else lands in chunk order on
-        the pool. With one worker every request is local: no chunk is
-        built and no cache key computed.
+        the pool. With one worker every request is local and no chunk
+        is built.
 
         Each plan entry is ``(request, built, key, slot)``: *built*
         and *key* are the canonical request and cache key computed
         here for a pure request (``None`` otherwise) and served
         under as they are, locally or in a worker chunk, so neither
-        is computed twice; *slot* is ``(chunk, position)`` for a pool
-        entry and ``None`` for a local one.
+        is computed twice, and a coordinator hit finds its entry's
+        kept body by *key*; *slot* is ``(chunk, position)`` for a
+        pool entry and ``None`` for a local one.
         """
-        if self.workers == 1:
-            return [(request, None, None, None) for request in requests], []
         cache = ctx.cache
         entries: list[tuple] = []
         pending: list[int] = []
@@ -532,9 +569,12 @@ class BatchExecutor:
                     entries.append((request, None, None, None))
                     continue
                 key = cache_key(operation.name, built, digest)
-                if key in cache or key in scheduled:
-                    entries.append((request, built, key, None))
-                    continue
+            if self.workers == 1 or (
+                key is not None and (key in cache or key in scheduled)
+            ):
+                entries.append((request, built, key, None))
+                continue
+            if key is not None:
                 scheduled.add(key)
             pending.append(len(entries))
             entries.append((request, built, key, None))
@@ -565,8 +605,12 @@ class BatchExecutor:
         pool: WarmPool,
         requests: Sequence[BatchRequest],
         operations: dict[str, Operation],
-    ) -> tuple[tuple[dict, ...], dict | None]:
-        """Run the dispatch plan; drain strictly in input order."""
+    ) -> tuple[tuple[dict, ...], tuple[str | None, ...], dict | None]:
+        """Run the dispatch plan; drain strictly in input order.
+
+        Returns the lines, their kept bodies (see
+        :class:`BatchResult`) and the cache statistics.
+        """
         ctx = pool.context
         cache = pool.cache
         hits_before = cache.hits if cache is not None else 0
@@ -582,9 +626,11 @@ class BatchExecutor:
         worker_hits = 0
         worker_misses = 0
         lines: list[dict] = []
+        bodies: list[str | None] = []
         series = window_series()
         try:
             for request, built, key, slot in plan:
+                body = None
                 if slot is None:
                     line, latency, outcome = _serve(
                         request.index,
@@ -594,6 +640,10 @@ class BatchExecutor:
                         built,
                         key,
                     )
+                    if outcome == "hit":
+                        # A hit's body depends only on the cached
+                        # response: encode it once per cache entry.
+                        body = cache.body(key, partial(_line_body, line))
                 else:
                     chunk_id, position = slot
                     # Plan entries name chunks in submission order, so
@@ -614,6 +664,7 @@ class BatchExecutor:
                     # so queue wait is not charged to the request.
                     latency, outcome = result.samples[position]
                 lines.append(line)
+                bodies.append(body)
                 if series is None:
                     continue
                 depth = len(drain) if drain is not None else 0
@@ -637,11 +688,11 @@ class BatchExecutor:
             if drain is not None:
                 drain.close()
         if cache is None:
-            return tuple(lines), None
+            return tuple(lines), tuple(bodies), None
         coordinator = _stats_delta(cache, hits_before, misses_before)
         if self.workers == 1:
-            return tuple(lines), coordinator
-        return tuple(lines), {
+            return tuple(lines), tuple(bodies), coordinator
+        return tuple(lines), tuple(bodies), {
             "coordinator": coordinator,
             "entries": coordinator["entries"],
             "hits": coordinator["hits"] + worker_hits,

@@ -14,20 +14,26 @@ summaries and the E17 benchmark) and as ``ops.cache.hits`` /
 an observed run exports cache effectiveness alongside every other
 metric.
 
-Entries are **exportable and mergeable**: a batch worker exports the
-``(key, response)`` pairs it computed (:meth:`ResultCache.export`)
-and ships them back with its chunk result, and the coordinator folds
-them into its own cache (:meth:`ResultCache.merge`) — the shared-
-cache protocol the warm pool (:mod:`repro.ops.pool`) is built on.
-:meth:`ResultCache.peek` and ``key in cache`` probe without touching
-the hit/miss counters, so dispatch planning never skews the stats a
-batch summary reports.
+Entries are **mergeable**: a batch worker reads back each pure
+result it computed (:meth:`ResultCache.peek`) and ships the
+``(key, response)`` pairs with its chunk result, and the coordinator
+folds them into its own cache (:meth:`ResultCache.merge`) — the
+shared-cache protocol the warm pool (:mod:`repro.ops.pool`) is built
+on. :meth:`ResultCache.peek` and ``key in cache`` probe without
+touching the hit/miss counters, so dispatch planning never skews the
+stats a batch summary reports.
+
+An entry can also keep one encoding of its response
+(:meth:`ResultCache.body`): the batch executor keeps a hit's
+transcript body there, so every later hit of that entry reuses it
+instead of encoding the response again. Only hits keep one, and an
+evicted entry's body goes with it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .._util import blake2b_hex, canonical_json
 from ..observability import metrics
@@ -60,7 +66,7 @@ def cache_key(
 class ResultCache:
     """Bounded, insertion-ordered store of operation responses."""
 
-    __slots__ = ("maxsize", "hits", "misses", "_entries")
+    __slots__ = ("maxsize", "hits", "misses", "_entries", "_bodies")
 
     def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
@@ -69,6 +75,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[str, OpResponse] = OrderedDict()
+        self._bodies: dict[str, str] = {}
 
     def get(self, key: str) -> OpResponse | None:
         """The cached response for *key*, counting the hit or miss."""
@@ -82,11 +89,15 @@ class ResultCache:
         return response
 
     def put(self, key: str, response: OpResponse) -> None:
-        """Store *response*; the oldest entry is evicted at capacity."""
-        if key not in self._entries and (
-            len(self._entries) >= self.maxsize
-        ):
-            self._entries.popitem(last=False)
+        """Store *response*; the oldest entry is evicted at capacity.
+
+        A replaced or evicted entry drops its kept body.
+        """
+        if key in self._entries:
+            self._bodies.pop(key, None)
+        elif len(self._entries) >= self.maxsize:
+            evicted, _ = self._entries.popitem(last=False)
+            self._bodies.pop(evicted, None)
         self._entries[key] = response
 
     def peek(self, key: str) -> OpResponse | None:
@@ -98,13 +109,21 @@ class ResultCache:
         """
         return self._entries.get(key)
 
-    def export(self) -> tuple[tuple[str, OpResponse], ...]:
-        """Every entry as picklable ``(key, response)`` pairs.
+    def body(self, key: str, encode: Callable[[], str]) -> str:
+        """The body kept for *key*'s entry, made by *encode* once.
 
-        The shipping format of the shared-cache protocol: both sides
-        of the process boundary exchange entries in this shape.
+        The first call keeps what *encode* returns; later calls
+        return it without calling *encode*. The body lives as long as
+        the entry: :meth:`put` drops it on eviction or replacement,
+        and a key with no entry keeps nothing. Neither hits nor
+        misses move.
         """
-        return tuple(self._entries.items())
+        body = self._bodies.get(key)
+        if body is None:
+            body = encode()
+            if key in self._entries:
+                self._bodies[key] = body
+        return body
 
     def merge(
         self, entries: Iterable[tuple[str, OpResponse]]
@@ -133,6 +152,7 @@ class ResultCache:
     def stats(self) -> dict:
         """Hit/miss/size counters as a JSON-serialisable dict."""
         return {
+            "bodies": len(self._bodies),
             "entries": len(self._entries),
             "hits": self.hits,
             "maxsize": self.maxsize,

@@ -100,11 +100,10 @@ class TestResultCacheProtocol:
         assert cache.misses == 0
 
     def test_export_merge_round_trip(self):
-        source = ResultCache()
-        source.put("a", self._response("A"))
-        source.put("b", self._response("B"))
+        # Workers ship ``(key, response)`` pairs read back with peek.
+        pairs = [("a", self._response("A")), ("b", self._response("B"))]
         target = ResultCache()
-        assert target.merge(source.export()) == 2
+        assert target.merge(pairs) == 2
         assert target.peek("a").text == "A"
         assert target.peek("b").text == "B"
         assert target.hits == 0 and target.misses == 0
