@@ -113,19 +113,6 @@ def percent(part: int, whole: int) -> float:
     return 100.0 * part / whole
 
 
-def stable_sorted(items: Iterable[T], key=None) -> list[T]:
-    """Sorted list with ``None`` keys ordered last (stable otherwise)."""
-    items = list(items)
-    if key is None:
-        return sorted(items)
-
-    def _key(item: T):
-        value = key(item)
-        return (value is None, value)
-
-    return sorted(items, key=_key)
-
-
 def oxford_join(parts: Sequence[str], conjunction: str = "and") -> str:
     """Join *parts* into an English list: ``a, b, and c``.
 

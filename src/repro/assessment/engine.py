@@ -129,9 +129,11 @@ def assess_with_policy(
 ) -> EthicsAssessment:
     """Run every engine over the project under a compiled *policy*.
 
-    *policy* is a :class:`~repro.policy.CompiledPolicy` (or the
-    duck-type compatible interpreter): it supplies the legal decision
-    tables, the Menlo principle checks and the verdict-folding steps.
+    *policy* is a :class:`~repro.policy.CompiledPolicy`, or any
+    object with its ``legal_report``, ``menlo_findings`` and
+    ``fold_verdict`` methods (the tests pass a reference
+    interpreter): it supplies the legal decision tables, the Menlo
+    principle checks and the verdict-folding steps.
     """
     legal = policy.legal_report(
         project.profile,

@@ -5,9 +5,10 @@ synthesises *research designs*: seed-deterministic
 :class:`~repro.assessment.project.ResearchProject` instances with
 randomised data profiles, jurisdiction sets, harm/benefit registers,
 safeguard plans, rights contexts and justification facts. They are
-the workload for the ``policy.assess`` operation and the E19
-benchmark, which mass-assesses thousands of them through the warm
-batch executor under different policy packs.
+the workload for the ``policy.assess`` operation, which the
+end-to-end ``assess-serial`` and ``assess-pool-audited`` benchmarks
+run thousands of times through the warm batch executor, and for the
+E19 benchmark's compiled-vs-interpreted legal reports.
 
 The distributions are tuned so the verdict space is exercised: most
 projects land in the proceed-with-safeguards band, with meaningful

@@ -660,7 +660,6 @@ def _run_policy_validate(
     validated = []
     for ref in refs:
         pack = resolve_pack(ref)
-        counts = _pack_counts(pack.data)
         lines.append(
             f"[OK ] {ref}: pack {pack.name} "
             f"[digest {pack.digest}]"

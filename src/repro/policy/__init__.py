@@ -24,7 +24,6 @@ from .defaults import (
     table1_issue_ids,
 )
 from .facts import assessment_facts, menlo_facts
-from .interpreter import PolicyInterpreter
 from .model import (
     PolicyPack,
     RISK_ORDER,
@@ -46,7 +45,6 @@ __all__ = [
     "CompiledPolicy",
     "DEFAULT_PACK",
     "PRECAUTIONARY_PACK",
-    "PolicyInterpreter",
     "PolicyPack",
     "RISK_ORDER",
     "STATUS_ORDER",

@@ -10,8 +10,10 @@ with no per-rule Python dispatch, no dict lookups and no re-derivation
 of shared data: statutes are cached per (issue, jurisdiction code),
 defence tuples are built once per pack, static strings bypass
 ``str.format``, and derived facts compile to mask tests. The naive
-reference semantics live in :mod:`repro.policy.interpreter`; the E19
-benchmark asserts the compiled tables beat them by ≥5x.
+reference interpreter that defines the pack semantics is test code
+(``tests/policy_oracle.py``): the tier-1 suite proves these tables
+equal to it on every realisable input pattern of the bundled packs,
+and the E19 benchmark asserts the tables beat it by ≥5x.
 
 Model-object imports (legal findings, Menlo findings) happen inside
 ``__init__`` rather than at module level: ``legal/rules.py`` imports
@@ -268,8 +270,8 @@ class CompiledPolicy:
     :meth:`legal_report` (the §3 rules), :meth:`menlo_findings` /
     :meth:`menlo_finding` (the §2 principle checks) and
     :meth:`fold_verdict` (the assessment engine's folding policy).
-    The naive :class:`~repro.policy.interpreter.PolicyInterpreter`
-    is duck-type compatible; differential tests hold them identical.
+    The tests' reference interpreter (``tests/policy_oracle.py``)
+    has the same surface; the test suite holds the two identical.
     """
 
     def __init__(self, pack: PolicyPack) -> None:

@@ -5,9 +5,9 @@ The decision tables in a compiled pack test *facts* — flat booleans
 module is the boundary between the two worlds: it reduces a
 :class:`~repro.ethics.menlo.MenloEvaluation` or an assessment's
 intermediate results to the fact dictionaries the pack's ``menlo``
-and ``verdict`` sections condition on. Both the compiled evaluator
-and the naive interpreter consume the same providers, so differential
-tests compare pure rule evaluation, not fact extraction.
+and ``verdict`` sections condition on. The compiled evaluator and
+the tests' reference interpreter consume the same providers, so
+differential tests compare pure rule evaluation, not fact extraction.
 
 Floats that appear inside templated reasons (residual risks,
 benefit totals) are pre-formatted here with the legacy ``:.2f``

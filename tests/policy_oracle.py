@@ -1,24 +1,32 @@
-"""Naive reference evaluator for policy packs.
+"""Naive reference evaluator for policy packs: the test oracle.
 
 :class:`PolicyInterpreter` walks the raw pack dicts directly: every
 condition re-resolves its fact by name (scanning the declaration
 lists and re-deriving derived expressions recursively), statutes are
 looked up uncached per finding, defences are rebuilt per report and
-every template goes through ``str.format_map``. It exists for two
-reasons: it *is* the pack semantics (small enough to audit against
-``docs/policy.md``), and it is the baseline the E19 benchmark holds
-:class:`~repro.policy.compiler.CompiledPolicy` to — the differential
-tests require both evaluators to produce byte-identical outputs over
-the whole corpus.
+every template goes through ``str.format_map``. It *is* the pack
+semantics, small enough to audit against ``docs/policy.md``.
+``tests/test_policy_proof.py`` holds
+:class:`~repro.policy.compiler.CompiledPolicy` equal to it over every
+realisable input pattern of both bundled packs,
+``tests/test_policy.py`` compares the two end to end, and the E19
+benchmark (``benchmarks/bench_policy.py``) holds the compiled tables
+to a throughput floor over it. It lives under ``tests/`` because
+nothing in the package runs it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping
 
-from ..errors import PolicyError
-from .facts import menlo_facts
-from .model import PolicyPack, RISK_ORDER, STATUS_ORDER, VERDICT_ORDER
+from repro.errors import PolicyError
+from repro.policy.facts import menlo_facts
+from repro.policy.model import (
+    PolicyPack,
+    RISK_ORDER,
+    STATUS_ORDER,
+    VERDICT_ORDER,
+)
 
 __all__ = ["PolicyInterpreter"]
 
@@ -97,8 +105,8 @@ class PolicyInterpreter:
         reb_approved: bool = False,
     ):
         """Evaluate every issue in every jurisdiction, naively."""
-        from ..legal.rules import LegalFinding, LegalReport
-        from ..legal.statutes import statutes_for
+        from repro.legal.rules import LegalFinding, LegalReport
+        from repro.legal.statutes import statutes_for
 
         defences_spec = self.pack.data["defences"]
         findings = []
@@ -160,7 +168,7 @@ class PolicyInterpreter:
         enums: Mapping[str, list],
         context: Mapping[str, str],
     ):
-        from ..ethics.menlo import MenloPrinciple, PrincipleFinding
+        from repro.ethics.menlo import MenloPrinciple, PrincipleFinding
 
         rank = 0
         reasons: list[str] = []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,35 @@ class TestTopLevel:
         stats = repro.section5_statistics(corpus)
         assert "Malware & exploitation" in table
         assert stats.ethics_sections == 12
+
+
+class TestTestCodeStaysOut:
+    """Test oracles live under ``tests/``; the package never imports them."""
+
+    def test_no_module_imports_tests(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders.extend(
+                    f"{path.relative_to(root)}:{node.lineno} {name}"
+                    for name in names
+                    if name == "tests" or name.startswith("tests.")
+                )
+        assert offenders == []
+
+    def test_policy_interpreter_is_not_exported(self):
+        import repro.policy
+
+        assert "PolicyInterpreter" not in repro.policy.__all__
+        assert not hasattr(repro.policy, "PolicyInterpreter")
 
 
 class TestLatexEscaping:

@@ -35,7 +35,6 @@ from repro.ops import ResultCache, RunContext, execute
 from repro.policy import (
     DEFAULT_PACK,
     PRECAUTIONARY_PACK,
-    PolicyInterpreter,
     PolicyPack,
     bundled_pack_names,
     compiled_policy,
@@ -44,6 +43,7 @@ from repro.policy import (
     resolve_pack,
     validate_pack,
 )
+from tests.policy_oracle import PolicyInterpreter
 
 
 def _mutated(mutate) -> dict:

@@ -17,7 +17,6 @@ from repro._util import (
     oxford_join,
     percent,
     slugify,
-    stable_sorted,
     wrap_text,
 )
 
@@ -120,14 +119,6 @@ class TestNumericHelpers:
     def test_clamp_bad_bounds(self):
         with pytest.raises(ValueError):
             clamp(1, 3, 0)
-
-    def test_stable_sorted_none_last(self):
-        items = ["b", None, "a"]
-        result = stable_sorted(items, key=lambda x: x)
-        assert result == ["a", "b", None]
-
-    def test_stable_sorted_plain(self):
-        assert stable_sorted([3, 1, 2]) == [1, 2, 3]
 
 
 _JSON_VALUES = st.recursive(
