@@ -43,12 +43,23 @@ both to the worker, which serves under them. A coordinator-served
 cache hit finds by that key the transcript body its cache entry
 keeps (:meth:`~repro.ops.cache.ResultCache.body`), so a repeated hit
 encodes only its line's four-member head.
+
+A warm, cached executor also memoises each hit's raw line bytes to
+its parsed op and args, canonical request and cache key
+(:meth:`~repro.ops.cache.ResultCache.remember`), for as long as the
+cache entry lives. The next run reads that line back from the memo
+(:meth:`BatchExecutor.load`) instead of parsing, canonicalising and
+hashing it again, so a repeated line costs one dict lookup before its
+cache hit. Misses memoise nothing, and neither do lines whose key
+depends on more than their bytes: a pack-scoped request naming a pack
+file is rehashed on every run, so an edited pack is a miss at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from collections.abc import Sequence
 from functools import partial
@@ -91,13 +102,30 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
+#: Memo state: left out of equality and ``repr``, so a memo-served
+#: :class:`BatchRequest` equals its plainly parsed twin.
+_MEMO_STATE = {"default": None, "compare": False, "repr": False}
+
+
+@dataclasses.dataclass(slots=True)
 class BatchRequest:
-    """One parsed line of a batch request file."""
+    """One parsed line of a batch request file.
+
+    A line read back from a warm executor's memo also carries its
+    canonical request (*built*) and cache *key*; a line parsed
+    against a memo keeps its raw bytes (*line*), so a cache hit can
+    memoise it. Plain :func:`load_requests` output sets none of them.
+    Not frozen: a memo-served line is one dict lookup and this
+    constructor, and frozen fields would each cost an
+    ``object.__setattr__`` call. Nothing mutates a request.
+    """
 
     index: int
     op: str
     args: dict
+    built: dict | None = dataclasses.field(**_MEMO_STATE)
+    key: str | None = dataclasses.field(**_MEMO_STATE)
+    line: bytes | None = dataclasses.field(**_MEMO_STATE)
 
 
 def _line_body(line: dict) -> str:
@@ -148,9 +176,12 @@ class BatchResult:
 
 
 def _parse_request(
-    path: str | Path, number: int, line: bytes, index: int
+    path: str | Path, number: int, line: bytes, index: int, keep: bool
 ) -> BatchRequest | None:
-    """Parse one raw line; ``None`` for blanks, BatchError otherwise."""
+    """Parse one raw line; ``None`` for blanks, BatchError otherwise.
+
+    With *keep* the request holds on to its raw *line*.
+    """
     if not line.strip():
         return None
     try:
@@ -176,25 +207,45 @@ def _parse_request(
             f"{path}:{number}: unknown request keys "
             f"{sorted(unknown)}"
         )
-    return BatchRequest(index=index, op=body["op"], args=args)
+    return BatchRequest(
+        index=index,
+        op=body["op"],
+        args=args,
+        line=line if keep else None,
+    )
 
 
-def load_requests(path: str | Path) -> tuple[BatchRequest, ...]:
+def load_requests(
+    path: str | Path, memo: ResultCache | None = None
+) -> tuple[BatchRequest, ...]:
     """Parse a JSONL request file; blank lines are skipped.
 
     Every line must be UTF-8 encoding a JSON object with an ``op``
     string and an optional ``args`` object; anything else (nesting
     too deep to parse included) raises
     :class:`~repro.errors.BatchError` naming the offending line.
-    The file is streamed line by line, so a 100k-request file is
-    never held in memory twice (once raw, once parsed).
+    The file is streamed line by line, so without a *memo* a
+    100k-request file is never held in memory twice (once raw, once
+    parsed).
+
+    With a *memo* (see :meth:`BatchExecutor.load`), a line whose
+    bytes it recalls becomes its memoised request unparsed, and every
+    parsed line keeps its raw bytes for the executor to memoise.
     """
     requests: list[BatchRequest] = []
+    recall = memo.recall if memo is not None else None
     try:
-        with Path(path).open("rb") as stream:
+        with open(os.fspath(path), "rb") as stream:
             for number, line in enumerate(stream, start=1):
+                if recall is not None:
+                    known = recall(line)
+                    if known is not None:
+                        requests.append(
+                            BatchRequest(len(requests), *known)
+                        )
+                        continue
                 request = _parse_request(
-                    path, number, line, len(requests)
+                    path, number, line, len(requests), memo is not None
                 )
                 if request is not None:
                     requests.append(request)
@@ -246,6 +297,21 @@ def _resolve_operations(
         except ReproError:
             continue
     return operations
+
+
+def _memoisable(operation: Operation, built: dict) -> bool:
+    """Whether a pure request's cache key follows from its line alone.
+
+    A pack-scoped request naming a pack file keys on the file's
+    current digest, so its line is rehashed on every run (hot-swap);
+    the default and bundled packs are in-memory constants.
+    """
+    if not operation.pack_scoped:
+        return True
+    from ..policy import bundled_pack_names
+
+    pack = built.get("pack")
+    return pack is None or pack in bundled_pack_names()
 
 
 def _run_one(
@@ -517,6 +583,18 @@ class BatchExecutor:
             summary["cache"].update(cache_stats)
         return BatchResult(lines=lines, summary=summary, bodies=bodies)
 
+    def load(self, path: str | Path) -> tuple[BatchRequest, ...]:
+        """:func:`load_requests` for this executor's runs.
+
+        A warm executor with a cache reads *path* through its pool
+        cache's line memo, so a line an earlier run served as a hit
+        is not parsed again; any other executor parses every line.
+        """
+        memo = None
+        if self.warm and self.use_cache:
+            memo = warm_pool(self.workers, True).cache
+        return load_requests(path, memo)
+
     def _cache_scope(self) -> str:
         """The summary label for where cached results live."""
         if self.workers == 1:
@@ -547,7 +625,8 @@ class BatchExecutor:
         here for a pure request (``None`` otherwise) and served
         under as they are, locally or in a worker chunk, so neither
         is computed twice, and a coordinator hit finds its entry's
-        kept body by *key*; *slot* is ``(chunk, position)`` for a
+        kept body by *key*; a request read back from the line memo
+        brings both along. *slot* is ``(chunk, position)`` for a
         pool entry and ``None`` for a local one.
         """
         cache = ctx.cache
@@ -559,8 +638,8 @@ class BatchExecutor:
             if operation is None:
                 entries.append((request, None, None, None))
                 continue
-            built = key = None
-            if cache is not None and operation.pure:
+            built, key = request.built, request.key
+            if key is None and cache is not None and operation.pure:
                 try:
                     built = build_request(operation, request.args)
                     digest = ctx.cache_digest(operation, built)
@@ -644,6 +723,14 @@ class BatchExecutor:
                         # A hit's body depends only on the cached
                         # response: encode it once per cache entry.
                         body = cache.body(key, partial(_line_body, line))
+                        if request.line is not None and _memoisable(
+                            operations[request.op], built
+                        ):
+                            cache.remember(
+                                key,
+                                request.line,
+                                (request.op, request.args, built, key),
+                            )
                 else:
                     chunk_id, position = slot
                     # Plan entries name chunks in submission order, so
@@ -705,13 +792,13 @@ def _run_batch(request: dict, ctx: RunContext) -> OpResponse:
     """The ``batch`` operation handler."""
     from ..observability import FlightRecorder, Observer, observed
 
-    requests = load_requests(request["requests"])
     executor = BatchExecutor(
         workers=request["workers"],
         use_cache=not request["no_cache"],
         warm=request["warm"],
         chunk_size=request["chunk_size"],
     )
+    requests = executor.load(request["requests"])
     recorder = None
     if request["flight_dir"] is not None:
         recorder = FlightRecorder(

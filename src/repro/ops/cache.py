@@ -28,6 +28,14 @@ An entry can also keep one encoding of its response
 transcript body there, so every later hit of that entry reuses it
 instead of encoding the response again. Only hits keep one, and an
 evicted entry's body goes with it.
+
+An entry can likewise keep one raw request line that resolves to it
+(:meth:`ResultCache.remember`): the batch executor memoises a hit's
+line bytes to its parsed, canonical request and cache key, so the
+next run reads that line back (``ResultCache.recall``) without
+parsing, canonicalising or hashing it again. The memo holds at most
+one line per entry and loses it with the entry, so it never outgrows
+the cache.
 """
 
 from __future__ import annotations
@@ -66,7 +74,16 @@ def cache_key(
 class ResultCache:
     """Bounded, insertion-ordered store of operation responses."""
 
-    __slots__ = ("maxsize", "hits", "misses", "_entries", "_bodies")
+    __slots__ = (
+        "maxsize",
+        "hits",
+        "misses",
+        "_entries",
+        "_bodies",
+        "_lines",
+        "_line_of",
+        "recall",
+    )
 
     def __init__(self, maxsize: int = 256) -> None:
         if maxsize < 1:
@@ -76,6 +93,13 @@ class ResultCache:
         self.misses = 0
         self._entries: OrderedDict[str, OpResponse] = OrderedDict()
         self._bodies: dict[str, str] = {}
+        # Raw line -> memoised request, and key -> its one raw line.
+        self._lines: dict[bytes, tuple] = {}
+        self._line_of: dict[str, bytes] = {}
+        #: ``recall(line)``: the request memoised for raw *line*, or
+        #: ``None`` — the memo's own ``dict.get``, as it runs once
+        #: per line of every batch.
+        self.recall = self._lines.get
 
     def get(self, key: str) -> OpResponse | None:
         """The cached response for *key*, counting the hit or miss."""
@@ -91,14 +115,24 @@ class ResultCache:
     def put(self, key: str, response: OpResponse) -> None:
         """Store *response*; the oldest entry is evicted at capacity.
 
-        A replaced or evicted entry drops its kept body.
+        A replaced or evicted entry drops its kept body and line.
         """
         if key in self._entries:
-            self._bodies.pop(key, None)
+            self._drop(key)
         elif len(self._entries) >= self.maxsize:
             evicted, _ = self._entries.popitem(last=False)
-            self._bodies.pop(evicted, None)
+            self._drop(evicted)
         self._entries[key] = response
+
+    def _drop(self, key: str) -> None:
+        """Forget what *key*'s entry keeps besides its response."""
+        self._bodies.pop(key, None)
+        self._drop_line(key)
+
+    def _drop_line(self, key: str) -> None:
+        line = self._line_of.pop(key, None)
+        if line is not None:
+            del self._lines[line]
 
     def peek(self, key: str) -> OpResponse | None:
         """The entry for *key* without counting a hit or miss.
@@ -124,6 +158,21 @@ class ResultCache:
             if key in self._entries:
                 self._bodies[key] = body
         return body
+
+    def remember(self, key: str, line: bytes, request: tuple) -> None:
+        """Memo raw request *line* as *request* while *key*'s entry lives.
+
+        *request* is whatever the caller needs to serve *line* again
+        without parsing it; it must resolve to *key* for as long as
+        the entry lives. A key keeps at most one line (a new one
+        replaces the old), a line already memoised stays as it is,
+        and a key with no entry keeps nothing. Neither hits nor
+        misses move.
+        """
+        if key in self._entries and line not in self._lines:
+            self._drop_line(key)
+            self._line_of[key] = line
+            self._lines[line] = request
 
     def merge(
         self, entries: Iterable[tuple[str, OpResponse]]
@@ -155,6 +204,7 @@ class ResultCache:
             "bodies": len(self._bodies),
             "entries": len(self._entries),
             "hits": self.hits,
+            "lines": len(self._lines),
             "maxsize": self.maxsize,
             "misses": self.misses,
         }

@@ -389,7 +389,8 @@ def _run_obs_health(request: dict, ctx: RunContext) -> OpResponse:
     cache = report["cache"]
     cache_line = (
         f"cache: {cache['entries']} entries "
-        f"({cache['hits']} hits, {cache['misses']} misses)"
+        f"({cache['hits']} hits, {cache['misses']} misses; "
+        f"keeps {cache['bodies']} bodies, {cache['lines']} lines)"
         if cache["enabled"]
         else "cache: disabled"
     )

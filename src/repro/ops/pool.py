@@ -456,13 +456,7 @@ class WarmPool:
         cache = self.cache
         report: dict = {
             "cache": (
-                {
-                    "enabled": True,
-                    "entries": len(cache),
-                    "hits": cache.hits,
-                    "maxsize": cache.maxsize,
-                    "misses": cache.misses,
-                }
+                {"enabled": True, **cache.stats()}
                 if cache is not None
                 else {"enabled": False}
             ),

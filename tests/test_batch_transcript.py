@@ -8,6 +8,12 @@ so it holds the hit path's bytes fixed whatever the executor keeps
 between runs. A property test pins the line encoder to the plain
 ``emit_jsonl`` of the whole line, and the memory guards check that
 only hits keep a body and that an evicted entry drops its body.
+
+A warm executor also memoises each hit's raw request line, so later
+runs read it back unparsed. The memo tests check that those runs keep
+the same transcript, that only hits memoise a line, that the memo
+lives and dies with its cache entry, and that a memoised line still
+gets the index of its position.
 """
 
 from __future__ import annotations
@@ -67,13 +73,18 @@ def isolated_warm_pools():
 
 
 @pytest.fixture
-def pure_requests(tmp_path):
+def pure_file(tmp_path):
     path = tmp_path / "pure.jsonl"
     path.write_text(
         "".join(json.dumps(line) + "\n" for line in PURE_REQUEST_LINES),
         encoding="utf-8",
     )
-    return load_requests(path)
+    return path
+
+
+@pytest.fixture
+def pure_requests(pure_file):
+    return load_requests(pure_file)
 
 
 def _direct_transcript(requests) -> str:
@@ -158,6 +169,151 @@ class TestKeptBody:
         cache.body("a", lambda: "old")
         cache.put("a", OpResponse(payload={}, text="A"))
         assert cache.body("a", lambda: "new") == "new"
+
+
+def _memo_served(requests) -> bool:
+    """Whether every request was read back from the line memo."""
+    return all(
+        request.key is not None and request.line is None
+        for request in requests
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memo_served_runs_keep_the_transcript(pure_file, workers):
+    executor = BatchExecutor(workers=workers, warm=True)
+    count = len(PURE_REQUEST_LINES)
+    runs = []
+    for _ in range(4):
+        requests = executor.load(pure_file)
+        runs.append((requests, executor.run(requests)))
+    (prefill, missed), (first, hit) = runs[:2]
+    assert not _memo_served(prefill) and not _memo_served(first)
+    assert missed.summary["cache"]["misses"] == count
+    for requests, result in runs[2:]:
+        assert _memo_served(requests)
+        assert requests == first  # same index, op and args
+        assert result.summary["cache"]["hits"] == count
+        assert result.lines == hit.lines == missed.lines
+        assert _blake2b(result.text()) == TRANSCRIPT_BLAKE2B
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_hits_memoise_a_line(pure_file, workers):
+    executor = BatchExecutor(workers=workers, warm=True)
+    cache = warm_pool(workers, True).cache
+    executor.run(executor.load(pure_file))
+    assert cache.stats()["lines"] == 0  # an all-miss batch keeps nothing
+    executor.run(executor.load(pure_file))
+    assert cache.stats()["lines"] == len(PURE_REQUEST_LINES)
+    executor.run(executor.load(pure_file))
+    assert cache.stats()["lines"] == len(PURE_REQUEST_LINES)
+
+
+def test_evicted_entries_take_their_lines(pure_file):
+    executor = BatchExecutor(warm=True)
+    cache = warm_pool(1, True).cache
+    for _ in range(2):
+        executor.run(executor.load(pure_file))
+    assert cache.stats()["lines"] == len(PURE_REQUEST_LINES)
+    filler = OpResponse(payload={}, text="")
+    for number in range(cache.maxsize):
+        cache.put(f"filler-{number}", filler)
+    assert cache.stats()["lines"] == 0
+    requests = executor.load(pure_file)
+    assert not any(request.key for request in requests)
+    result = executor.run(requests)
+    assert result.summary["cache"]["misses"] == len(PURE_REQUEST_LINES)
+    assert _blake2b(result.text()) == TRANSCRIPT_BLAKE2B
+
+
+def test_uncached_and_cold_runs_memoise_nothing(pure_file):
+    """``--no-cache`` and one-shot runs parse every line every time."""
+    for executor in (
+        BatchExecutor(warm=True, use_cache=False),
+        BatchExecutor(),
+    ):
+        for _ in range(3):
+            requests = executor.load(pure_file)
+            executor.run(requests)
+        assert not any(
+            request.key or request.line for request in requests
+        )
+
+
+def test_repeated_bytes_get_their_own_index(tmp_path):
+    stats = '{"op": "stats"}\n'
+    legend = '{"op": "legend"}\n'
+    path = tmp_path / "repeat.jsonl"
+    path.write_text(stats + "\n" + legend + stats, encoding="utf-8")
+    moved = tmp_path / "moved.jsonl"
+    moved.write_text(legend + stats, encoding="utf-8")
+    executor = BatchExecutor(warm=True)
+    for _ in range(3):
+        requests = executor.load(path)
+        result = executor.run(requests)
+    assert _memo_served(requests)
+    assert warm_pool(1, True).cache.stats()["lines"] == 2
+    assert [(r.index, r.op) for r in requests] == [
+        (0, "stats"),
+        (1, "legend"),
+        (2, "stats"),
+    ]
+    assert [line["index"] for line in result.lines] == [0, 1, 2]
+    assert result.text() == _direct_transcript(load_requests(path))
+    requests = executor.load(moved)
+    assert _memo_served(requests)
+    assert [(r.index, r.op) for r in requests] == [
+        (0, "legend"),
+        (1, "stats"),
+    ]
+    assert executor.run(requests).text() == _direct_transcript(
+        load_requests(moved)
+    )
+
+
+class TestMemoLine:
+    def test_kept_while_the_entry_lives(self):
+        cache = ResultCache()
+        cache.put("k", OpResponse(payload={}, text="k"))
+        cache.remember("k", b"line\n", ("memo",))
+        assert cache.recall(b"line\n") == ("memo",)
+        assert cache.stats()["lines"] == 1
+        assert cache.hits == 0 and cache.misses == 0
+
+    def test_no_entry_keeps_nothing(self):
+        cache = ResultCache()
+        cache.remember("k", b"line\n", ("memo",))
+        assert cache.recall(b"line\n") is None
+        assert cache.stats()["lines"] == 0
+
+    def test_evicted_entry_drops_its_line(self):
+        cache = ResultCache(maxsize=2)
+        cache.put("a", OpResponse(payload={}, text="a"))
+        cache.put("b", OpResponse(payload={}, text="b"))
+        cache.remember("a", b"A\n", ("a",))
+        cache.remember("b", b"B\n", ("b",))
+        cache.put("c", OpResponse(payload={}, text="c"))
+        assert cache.recall(b"A\n") is None
+        assert cache.recall(b"B\n") == ("b",)
+        assert cache.stats()["lines"] == 1
+
+    def test_replaced_entry_drops_its_line(self):
+        cache = ResultCache()
+        cache.put("a", OpResponse(payload={}, text="a"))
+        cache.remember("a", b"A\n", ("a",))
+        cache.put("a", OpResponse(payload={}, text="A"))
+        assert cache.recall(b"A\n") is None
+        assert cache.stats()["lines"] == 0
+
+    def test_one_line_per_entry(self):
+        cache = ResultCache()
+        cache.put("a", OpResponse(payload={}, text="a"))
+        cache.remember("a", b"first\n", ("first",))
+        cache.remember("a", b"second\n", ("second",))
+        assert cache.recall(b"first\n") is None
+        assert cache.recall(b"second\n") == ("second",)
+        assert cache.stats()["lines"] == 1
 
 
 #: JSON-encodable leaves, strings biased towards the characters JSON

@@ -672,8 +672,13 @@ class TestWarmPoolHealth:
             assert report["live"] is False
             assert report["rebuilds"] == 0
             assert report["context_warm"] is False
-            assert report["cache"]["enabled"] is True
+            assert report["cache"] == {
+                "enabled": True,
+                **pool.cache.stats(),
+            }
             assert report["cache"]["entries"] == 0
+            assert report["cache"]["bodies"] == 0
+            assert report["cache"]["lines"] == 0
             assert "probe" not in report
         finally:
             pool.shutdown()
@@ -692,6 +697,30 @@ class TestWarmPoolHealth:
             assert report["cache"] == {"enabled": False}
         finally:
             pool.shutdown()
+
+    def test_health_shows_kept_bodies_and_memo_lines(
+        self, tmp_path, capsys
+    ):
+        from repro.ops import execute
+        from repro.ops.pool import shutdown_warm_pools
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"op": "stats"}\n{"op": "legend"}\n', encoding="utf-8"
+        )
+        shutdown_warm_pools()
+        try:
+            for _ in range(2):
+                execute("batch", {"requests": str(requests), "warm": True})
+            capsys.readouterr()
+            assert main(["obs", "health"]) == 0
+            out = capsys.readouterr().out
+        finally:
+            shutdown_warm_pools()
+        assert (
+            "cache: 2 entries (2 hits, 2 misses; "
+            "keeps 2 bodies, 2 lines)"
+        ) in out
 
     def test_health_subcommand(self, capsys):
         from repro.ops.pool import shutdown_warm_pools

@@ -290,3 +290,67 @@ class TestBatchCLI:
         finally:
             shutdown_warm_pools()
         capsys.readouterr()
+
+
+class TestLineMemo:
+    """A warm batch reads repeated lines back from its line memo."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_warm_pools(self):
+        from repro.ops import shutdown_warm_pools
+
+        shutdown_warm_pools()
+        yield
+        shutdown_warm_pools()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_line_fails_before_any_audit_event(
+        self, requests_file, tmp_path, workers
+    ):
+        from repro.ops import execute, warm_pool
+
+        args = {"requests": str(requests_file), "warm": True}
+        args["workers"] = workers
+        for _ in range(2):
+            execute("batch", args)
+        assert warm_pool(workers, True).cache.stats()["lines"] == 5
+        lines = requests_file.read_text(encoding="utf-8").splitlines()
+        lines[2] = "not json"
+        requests_file.write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
+        log = tmp_path / "audit.jsonl"
+        with pytest.raises(BatchError) as excinfo:
+            execute("batch", {**args, "audit_log": str(log)})
+        assert str(excinfo.value).startswith(
+            f"{requests_file}:3: invalid JSON"
+        )
+        assert not log.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memo_served_run_keeps_the_audit_chain(
+        self, requests_file, tmp_path, workers
+    ):
+        """Run 1 misses, run 2 hits and memoises, run 3 reads every
+        line back from the memo: runs 2 and 3 chain the same events,
+        and match run 1 apart from the worker count."""
+        from repro.ops import execute
+
+        logs = []
+        chains = []
+        for run in range(3):
+            log = tmp_path / f"audit-{run}.jsonl"
+            response = execute(
+                "batch",
+                {
+                    "requests": str(requests_file),
+                    "warm": True,
+                    "workers": workers,
+                    "audit_log": str(log),
+                },
+            )
+            assert response.exit_code == 0
+            logs.append(log.read_bytes())
+            chains.append(_events(log))
+        assert logs[2] == logs[1]
+        assert _comparable(chains[2]) == _comparable(chains[0])

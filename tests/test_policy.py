@@ -305,6 +305,60 @@ class TestPackScopedCache:
         assert pack_digests(first) == {pack_digest(DEFAULT_PACK)}
         assert pack_digests(swapped) == {pack_digest(PRECAUTIONARY_PACK)}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hot_swap_through_the_batch_op(self, tmp_path, workers):
+        """A warm batch memoises repeated lines, but never a line
+        naming a pack file: after an edit every such line carries the
+        new digest and misses, while bundled-pack lines still hit."""
+        from repro.ops import shutdown_warm_pools, warm_pool
+
+        path = tmp_path / "pack.json"
+        path.write_text(json.dumps(PRECAUTIONARY_PACK), encoding="utf-8")
+        requests_path = tmp_path / "requests.jsonl"
+        requests_path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "op": "policy.assess",
+                        "args": {"pack": pack, "seed": seed},
+                    }
+                )
+                + "\n"
+                for pack in (str(path), "precautionary")
+                for seed in (5, 6)
+            ),
+            encoding="utf-8",
+        )
+        args = {
+            "requests": str(requests_path),
+            "warm": True,
+            "workers": workers,
+        }
+
+        def run() -> tuple[dict, list[str]]:
+            response = execute("batch", args)
+            lines = [json.loads(line) for line in response.text.splitlines()]
+            assert all(line["ok"] for line in lines)
+            return response.payload["cache"], [
+                line["payload"]["pack"]["digest"] for line in lines
+            ]
+
+        shutdown_warm_pools()
+        try:
+            for _ in range(3):  # the third run reads the memo
+                cache, before = run()
+            assert cache["hits"] == 4
+            assert warm_pool(workers, True).cache.stats()["lines"] == 2
+            path.write_text(json.dumps(DEFAULT_PACK), encoding="utf-8")
+            swapped, after = run()
+        finally:
+            shutdown_warm_pools()
+        bundled = pack_digest(PRECAUTIONARY_PACK)
+        assert before == [bundled] * 4
+        assert after == [pack_digest(DEFAULT_PACK)] * 2 + [bundled] * 2
+        assert swapped["misses"] == 2
+        assert swapped["hits"] == 2
+
     def test_plain_pure_ops_unchanged(self):
         ctx = RunContext(cache=ResultCache(8))
         execute("stats", context=ctx)
