@@ -89,7 +89,6 @@ from .runtime import (
     observed,
     set_observer,
     tracer,
-    window_series,
 )
 from .slo import SloObjective, SloReport, SloSpec, evaluate_slo
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
@@ -148,6 +147,5 @@ __all__ = [
     "verify_bundle_text",
     "verify_events",
     "verify_jsonl",
-    "window_series",
     "windows_from_events",
 ]

@@ -11,8 +11,10 @@ batch runs of the same request file window identically.
 * :class:`RequestSample` — one request's contribution: outcome,
   optional latency (seconds), queue depth at drain time, worker
   busyness, cache hit/miss. Every field except ``ok`` is optional
-  because the two feeders differ: a live batch executor knows
-  latencies and queue depths, an audit chain knows only outcomes.
+  because the feeders differ: an embedder that times its own
+  requests can supply latencies, queue depths and cache outcomes,
+  while an audit chain knows only outcomes. The batch executor
+  feeds no series; it reads no clock.
 * :class:`Window` — the per-window aggregate: ok/failed counts, a
   latency :class:`~repro.observability.metrics.Histogram` over the
   shared :data:`~repro.observability.metrics.BUCKET_BOUNDS` (which

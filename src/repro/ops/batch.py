@@ -25,9 +25,10 @@ every request served locally: no chunk, no worker process. With
 ``warm=True`` the pool, the coordinator context and the shared cache
 all persist across batch runs, which is what turns the old
 cold-start inversion (402 req/s at 4 workers vs 2802 serial) into a
-strict win. Every request, local or in a worker, is run and timed by
-one helper (:func:`_serve`), so the window series gets the same
-samples on every path.
+strict win. Every request, local or in a worker, is run by one
+helper (:func:`_run_one`). The executor reads no clock: runtime
+timing belongs to the tracer's spans, whose registry each chunk
+ships back.
 
 Observability mirrors the pipeline's cross-process design: when the
 coordinator runs an enabled observer, each worker chunk executes
@@ -60,20 +61,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 from collections.abc import Sequence
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ..errors import BatchError, ReproError
-from ..observability import (
-    RequestSample,
-    audit_event,
-    flight_recorder,
-    get_observer,
-    window_series,
-)
+from ..observability import audit_event, flight_recorder, get_observer
 from ..observability.worker import replay_shard
 from .cache import ResultCache, cache_key
 from .context import RunContext
@@ -432,35 +426,6 @@ def _logical_plan(requests: Sequence[BatchRequest]) -> dict:
     return plan
 
 
-def _serve(
-    index: int,
-    name: str,
-    values: dict | None,
-    ctx: RunContext,
-    built: dict | None = None,
-    key: str | None = None,
-) -> tuple[dict, float, str | None]:
-    """Run and measure one request: ``(line, latency, cache outcome)``.
-
-    The one place a batch request is timed and its cache interaction
-    classified (``"hit"``, ``"miss"`` or ``None``) from counter
-    deltas — coordinator-local serves and worker chunks both call it,
-    so the window series sees identical samples on every path.
-    """
-    cache = ctx.cache
-    hits = cache.hits if cache is not None else 0
-    misses = cache.misses if cache is not None else 0
-    started = time.perf_counter()
-    line = _run_one(index, name, values, ctx, built, key)
-    latency = time.perf_counter() - started
-    outcome = None
-    if cache is not None and cache.hits > hits:
-        outcome = "hit"
-    elif cache is not None and cache.misses > misses:
-        outcome = "miss"
-    return line, latency, outcome
-
-
 class BatchExecutor:
     """Streams batch requests through the kernel, in input order.
 
@@ -706,12 +671,14 @@ class BatchExecutor:
         worker_misses = 0
         lines: list[dict] = []
         bodies: list[str | None] = []
-        series = window_series()
         try:
             for request, built, key, slot in plan:
                 body = None
                 if slot is None:
-                    line, latency, outcome = _serve(
+                    # A planned key implies a cache, and execute's get
+                    # finds this very entry.
+                    hit = key is not None and key in cache
+                    line = _run_one(
                         request.index,
                         request.op,
                         request.args,
@@ -719,7 +686,7 @@ class BatchExecutor:
                         built,
                         key,
                     )
-                    if outcome == "hit":
+                    if hit:
                         # A hit's body depends only on the cached
                         # response: encode it once per cache entry.
                         body = cache.body(key, partial(_line_body, line))
@@ -747,30 +714,8 @@ class BatchExecutor:
                     if shard is not None:
                         replay_shard(shard)
                     line = result.lines[position]
-                    # Measured in the worker around the request itself,
-                    # so queue wait is not charged to the request.
-                    latency, outcome = result.samples[position]
                 lines.append(line)
                 bodies.append(body)
-                if series is None:
-                    continue
-                depth = len(drain) if drain is not None else 0
-                series.observe(
-                    RequestSample(
-                        ok=line["ok"],
-                        latency=latency,
-                        queue_depth=depth,
-                        # A serial run's one worker is the coordinator,
-                        # busy serving this very request.
-                        busy_workers=(
-                            min(depth, self.workers)
-                            if self.workers > 1
-                            else 1
-                        ),
-                        workers=self.workers,
-                        cache=outcome,
-                    )
-                )
         finally:
             if drain is not None:
                 drain.close()

@@ -113,9 +113,7 @@ class ChunkResult:
     ``shards`` is the parallel tuple of per-request telemetry cuts
     of the chunk's one capture, the last carrying its metrics
     (``None`` when the coordinator's observer is disabled);
-    ``samples`` the parallel ``(latency seconds, cache outcome)``
-    pairs measured in the worker, for the coordinator's window
-    series; ``pairs`` are the content-addressed ``(key, response)``
+    ``pairs`` are the content-addressed ``(key, response)``
     entries for pure operations this chunk computed, ready to merge
     into the coordinator cache; ``hits``/``misses`` are the
     worker-cache counter deltas this chunk incurred, aggregated into
@@ -124,7 +122,6 @@ class ChunkResult:
 
     lines: tuple[dict, ...]
     shards: tuple[WorkerTelemetry | None, ...]
-    samples: tuple[tuple[float, str | None], ...] = ()
     pairs: tuple[tuple[str, object], ...] = ()
     hits: int = 0
     misses: int = 0
@@ -137,22 +134,25 @@ def _warm_worker(use_cache: bool) -> None:
     It first drops the observer a forked worker inherits: a pool
     first used inside an ``observed(...)`` block would otherwise
     write every later untelemetered chunk's events into the
-    coordinator's (by then closed) audit log. It then assembles the
-    operation registry (so per-request dispatch is a dict hit),
-    constructs the persistent worker :class:`RunContext`, and
-    materialises the corpus and its content digest — the costs that
-    previously made every worker's first request ~100x slower than
-    its second. A daemon thread ends the worker when its coordinator
-    dies, which a killed coordinator's idle workers would otherwise
-    never notice.
+    coordinator's (by then closed) audit log. It also drops the
+    worker contexts a coordinator that served requests in-process
+    filled, whose caches would otherwise make a fresh worker's first
+    requests hits. It then assembles the operation registry (so
+    per-request dispatch is a dict hit), constructs the persistent
+    worker :class:`RunContext`, and materialises the corpus and its
+    content digest — the costs that previously made every worker's
+    first request ~100x slower than its second. A daemon thread ends
+    the worker when its coordinator dies, which a killed
+    coordinator's idle workers would otherwise never notice.
     """
     import threading
 
-    from .batch import _worker_context
+    from .batch import _WORKER_CONTEXTS, _worker_context
     from .catalog import default_registry
 
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     set_observer(None)
+    _WORKER_CONTEXTS.clear()
     default_registry()
     _worker_context(use_cache).warm_up()
 
@@ -175,19 +175,16 @@ def _execute_chunk(
     the canonical *request* and its cache *key*; the worker serves
     under them as they are, so it neither rebuilds the request nor
     rehashes the key. Other entries carry ``None`` for both, and the
-    kernel builds the request from *args*. Each request is run and
-    measured by the same :func:`~repro.ops.batch._serve` a
-    coordinator-local serve uses. When the coordinator observes, the
-    whole chunk runs under one
-    :class:`~repro.observability.worker.TelemetryShard` that is cut
-    into one shard per request — the last also carrying the chunk's
-    metrics snapshot — so per-request audit brackets replay in exact
-    submission order, and the window series gets the latency and
-    cache outcome measured where the request ran. Successful pure
-    results are exported as ``(key, response)`` pairs for the
-    coordinator cache.
+    kernel builds the request from *args*. Each request is run by
+    the same :func:`~repro.ops.batch._run_one` a coordinator-local
+    serve uses. When the coordinator observes, the whole chunk runs
+    under one :class:`~repro.observability.worker.TelemetryShard`
+    that is cut into one shard per request — the last also carrying
+    the chunk's metrics snapshot — so per-request audit brackets
+    replay in exact submission order. Successful pure results are
+    exported as ``(key, response)`` pairs for the coordinator cache.
     """
-    from .batch import _serve, _worker_context
+    from .batch import _run_one, _worker_context
 
     ctx = _worker_context(use_cache)
     cache = ctx.cache
@@ -195,7 +192,6 @@ def _execute_chunk(
     misses_before = cache.misses if cache is not None else 0
     lines: list[dict] = []
     shards: list[WorkerTelemetry | None] = []
-    samples: list[tuple[float, str | None]] = []
     pairs: list[tuple[str, object]] = []
     last = len(chunk) - 1
     capture = TelemetryShard() if telemetry else contextlib.nullcontext()
@@ -203,16 +199,13 @@ def _execute_chunk(
         for position, (index, name, values, built, key) in enumerate(
             chunk
         ):
-            line, latency, outcome = _serve(
-                index, name, values, ctx, built, key
-            )
+            line = _run_one(index, name, values, ctx, built, key)
             if not telemetry:
                 shards.append(None)
             elif position < last:
                 shards.append(capture.cut())
             else:
                 shards.append(capture.telemetry())
-            samples.append((latency, outcome))
             lines.append(line)
             if cache is None or key is None or not line["ok"]:
                 continue
@@ -222,7 +215,6 @@ def _execute_chunk(
     return ChunkResult(
         lines=tuple(lines),
         shards=tuple(shards),
-        samples=tuple(samples),
         pairs=tuple(pairs),
         hits=(cache.hits - hits_before) if cache is not None else 0,
         misses=(
@@ -248,8 +240,7 @@ class OrderedDrain:
     so results come back in submission order whatever order workers
     finish in, and the job source (possibly a lazy generator) is
     consumed at most *window* jobs ahead of the consumer.
-    ``len(drain)`` is the number of jobs in flight, the queue depth
-    the batch executor reports.
+    ``len(drain)`` is the number of jobs in flight.
 
     A job that raises, or a job source that raises, re-raises here
     after :meth:`close` cancels everything still queued. A lost worker is always charged to the

@@ -220,47 +220,29 @@ class TestSharedCache:
         assert warm_pool(1, True).live is False
 
 
-class TestPoolPathSamples:
-    # Per worker count: (queue_depth_max, queue_depth_mean,
-    # worker_utilization). A serial run serves every request on the
-    # coordinator, its one busy worker, with nothing queued. At two
-    # workers, one request per chunk and a four-chunk submit window,
-    # the in-flight depth at each request's drain is 4, 3, 2, 2 (the
-    # local duplicate), 1, 0, and busy workers are that depth capped
-    # at two.
-    EXPECTED_WINDOW = {
-        1: (0, 0.0, 1.0),
-        2: (4, 2.0, 0.75),
-    }
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pool_served_requests_report_worker_latency(
-        self, requests_file, workers
+class TestFreshWorkerContexts:
+    def test_new_workers_do_not_inherit_coordinator_contexts(
+        self, tmp_path
     ):
-        """The window series sees a latency for every request, pool
-        or local, so latency objectives can gate parallel runs."""
-        from repro.observability import Observer, WindowSeries, observed
+        """A worker forked after the coordinator served a request
+        through its own worker context starts with an empty cache:
+        its first request is a miss, not an inherited hit."""
+        from repro.ops import pool as pool_module
 
-        requests = load_requests(requests_file)
-        series = WindowSeries(window_size=len(requests))
-        with observed(Observer().attach(windows=series)):
-            result = BatchExecutor(
-                workers=workers, chunk_size=1
-            ).run(requests)
-        (window,) = series.windows()
-        measurements = window.measurements()
-        assert window.latency.count == len(requests)
-        assert measurements["latency_p99_seconds"] > 0
-        # Five distinct pure requests miss (in workers when pooled);
-        # the duplicate table1 is a coordinator hit.
-        assert measurements["cache_hit_rate"] == round(1 / 6, 6)
-        depth_max, depth_mean, utilization = self.EXPECTED_WINDOW[
-            workers
-        ]
-        assert measurements["queue_depth_max"] == depth_max
-        assert measurements["queue_depth_mean"] == depth_mean
-        assert measurements["worker_utilization"] == utilization
-        assert result.summary["ok"] == len(requests)
+        served = pool_module._execute_chunk(
+            ((0, "legend", {}, None, None),), False, True
+        )
+        assert served.lines[0]["ok"]
+        shutdown_warm_pools()
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"op": "legend"}\n', encoding="utf-8")
+        result = BatchExecutor(workers=2, warm=True).run(
+            load_requests(path)
+        )
+        assert result.summary["cache"]["workers"] == {
+            "hits": 0,
+            "misses": 1,
+        }
 
 
 class TestChunkTelemetry:
@@ -834,14 +816,16 @@ class TestDrainClosedOnEveryExit:
 
 
 class TestStaticcheckOverPool:
-    def test_r8_r9_stay_clean_over_pool_submission_sites(self):
+    def test_r8_r9_stay_clean_over_pool_submission_sites(
+        self, repo_lint
+    ):
         """The interprocedural rules pass over the new subsystem."""
-        from repro.staticcheck import lint_repo, unsuppressed
+        from repro.staticcheck import unsuppressed
 
-        findings = unsuppressed(lint_repo(select=("R8", "R9")))
+        findings = unsuppressed(repo_lint(("R8", "R9")))
         assert not findings, findings
 
-    def test_r9_audits_the_pool_module(self):
+    def test_r9_audits_the_pool_module(self, repo_lint):
         """The submission sites are actually visible to R9.
 
         Guards against the rule silently losing sight of the pool:
@@ -856,14 +840,14 @@ class TestStaticcheckOverPool:
         from repro.ops import batch as batch_module
         from repro.ops import pool as pool_module
         from repro.pipeline import core as pipeline_module
-        from repro.staticcheck import BASELINE, lint_repo
+        from repro.staticcheck import BASELINE
         from repro.staticcheck.rules_workers import (
             WorkerSafetyRule,
         )
 
         findings = [
             finding
-            for finding in lint_repo(select=("R9",))
+            for finding in repo_lint(("R9",))
             if finding.rule_id == "R9"
         ]
         assert [

@@ -82,6 +82,56 @@ class TestTestCodeStaysOut:
         assert not hasattr(repro.policy, "PolicyInterpreter")
 
 
+class TestOpsReadsNoClock:
+    """Timing belongs to ``observability/tracing.py``: the service
+    kernel under ``ops/`` never reads a clock itself."""
+
+    CLOCKS = frozenset(
+        name + suffix
+        for name in ("perf_counter", "time", "monotonic")
+        for suffix in ("", "_ns")
+    )
+
+    def test_no_clock_calls_under_ops(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted((root / "ops").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            modules = {"time"}
+            functions = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules.update(
+                        alias.asname or alias.name
+                        for alias in node.names
+                        if alias.name == "time"
+                    )
+                elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "time"
+                ):
+                    functions.update(
+                        alias.asname or alias.name
+                        for alias in node.names
+                        if alias.name in self.CLOCKS
+                    )
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in self.CLOCKS
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules
+                ) or (
+                    isinstance(func, ast.Name) and func.id in functions
+                ):
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno}"
+                    )
+        assert offenders == []
+
+
 class TestLatexEscaping:
     @given(
         st.text(

@@ -489,12 +489,12 @@ class TestR2PipelineScope:
         )
         assert findings == []
 
-    def test_shipped_pipeline_package_lints_clean(self):
-        from repro.staticcheck import lint_repo, unsuppressed
+    def test_shipped_pipeline_package_lints_clean(self, repo_lint):
+        from repro.staticcheck import unsuppressed
 
         findings = [
             finding
-            for finding in unsuppressed(lint_repo(("R2",)))
+            for finding in unsuppressed(repo_lint(("R2",)))
             if "pipeline" in str(finding.path)
         ]
         assert findings == []

@@ -513,8 +513,6 @@ class TestPolicyLiteralRule:
         )
         assert self._lint(tmp_path) == []
 
-    def test_repo_baseline_is_empty(self):
-        from repro.staticcheck import lint_repo
-
-        findings = lint_repo(("R10",))
+    def test_repo_baseline_is_empty(self, repo_lint):
+        findings = repo_lint(("R10",))
         assert [f for f in findings if f.rule_id == "R10"] == []

@@ -459,12 +459,10 @@ class TestR6TelemetryNaming:
             "pipeline/x.py",
         )
 
-    def test_package_is_r6_clean(self):
-        from repro.staticcheck import lint_repo
-
+    def test_package_is_r6_clean(self, repo_lint):
         assert not [
             finding
-            for finding in lint_repo(("R6",), with_baseline=False)
+            for finding in repo_lint(("R6",), with_baseline=False)
             if not finding.suppressed
         ]
 
@@ -513,12 +511,10 @@ class TestR7Layering:
         assert rule_ids(found) == {"R7"}
         assert "repro.errors" in found[0].message
 
-    def test_package_is_r7_clean(self):
-        from repro.staticcheck import lint_repo
-
+    def test_package_is_r7_clean(self, repo_lint):
         assert not [
             finding
-            for finding in lint_repo(("R7",), with_baseline=False)
+            for finding in repo_lint(("R7",), with_baseline=False)
             if not finding.suppressed
         ]
 

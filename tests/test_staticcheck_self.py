@@ -10,21 +10,20 @@ from __future__ import annotations
 
 from repro.staticcheck import (
     BASELINE,
-    lint_repo,
     package_root,
     render_text,
     unsuppressed,
 )
 
 
-def test_package_lint_is_clean():
-    findings = lint_repo()
+def test_package_lint_is_clean(repo_lint):
+    findings = repo_lint()
     failing = unsuppressed(findings)
     assert not failing, "\n" + render_text(failing)
 
 
-def test_every_suppression_is_baselined():
-    findings = lint_repo(with_baseline=False)
+def test_every_suppression_is_baselined(repo_lint):
+    findings = repo_lint(with_baseline=False)
     suppressed = [f for f in findings if f.suppressed]
     registered = {(e.rule_id, e.path) for e in BASELINE}
     unregistered = [
