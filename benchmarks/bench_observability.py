@@ -22,9 +22,9 @@ Four budgets from ``docs/observability.md`` /
   alternating plain and flight trials, so host speed drift hits
   both alike: the ring tap is a bounded-deque append per audit
   event).
-* **SLO evaluation is scrape-friendly** — judging a multi-objective
-  spec against a couple of hundred windows must clear 100
-  evaluations/second.
+* **SLO evaluation is scrape-friendly** — judging an error-rate plus
+  rolling burn-rate spec against a couple of hundred outcome windows
+  must clear 100 evaluations/second.
 
 Writes the numbers to ``BENCH_observability.json`` at the repo root
 (each test merges its own section, so running one test never drops
@@ -43,7 +43,6 @@ from repro.observability import (
     FlightRecorder,
     MetricsRegistry,
     Observer,
-    RequestSample,
     SamplingProfiler,
     SloSpec,
     Tracer,
@@ -254,19 +253,11 @@ def test_e16_flight_recorder_overhead_and_slo_throughput():
     flight_seconds = min(flight_times)
     flight_overhead = flight_seconds / plain_seconds
 
-    # SLO evaluation throughput over a realistic windowed series.
+    # SLO evaluation throughput over a 200-window outcome series,
+    # the shape `obs slo` windows out of an audit chain.
     series = WindowSeries(window_size=50)
-    series.observe_many(
-        RequestSample(
-            ok=index % 17 != 0,
-            latency=(index % 40 + 1) / 2000,
-            queue_depth=index % 5,
-            busy_workers=1 + index % 4,
-            workers=4,
-            cache="hit" if index % 3 else "miss",
-        )
-        for index in range(10_000)
-    )
+    for index in range(10_000):
+        series.observe(index % 17 != 0)
     spec = SloSpec.from_dict(
         {
             "name": "bench",
@@ -278,22 +269,11 @@ def test_e16_flight_recorder_overhead_and_slo_throughput():
                     "threshold": 0.1,
                 },
                 {
-                    "id": "p99",
-                    "metric": "latency_p99_seconds",
-                    "threshold": 0.1,
-                },
-                {
                     "id": "burn",
                     "metric": "error_budget_burn",
                     "threshold": 1.0,
                     "budget": 0.1,
                     "windows": 6,
-                },
-                {
-                    "id": "cache",
-                    "metric": "cache_hit_rate",
-                    "threshold": 0.5,
-                    "comparison": ">=",
                 },
             ],
         }

@@ -38,10 +38,11 @@ architecture so every subsystem can emit into it:
   failure as a hash-chained, configuration-invariant incident
   bundle;
 * :mod:`~repro.observability.windows` /
-  :mod:`~repro.observability.slo` — logical-clock telemetry windows
-  (per-N-requests, no wall time) and the declarative SLO engine
-  that judges JSON objective specs over them, exit-code gateable
-  via ``repro-ethics obs slo``.
+  :mod:`~repro.observability.slo` — logical-clock outcome windows
+  (per-N-requests, no wall time) over the request brackets of an
+  audit chain, and the declarative SLO engine that judges JSON
+  error-rate and error-budget objectives over them, exit-code
+  gateable via ``repro-ethics obs slo``.
 
 The trail is clock-free and therefore as reproducible as the rest of
 the repository; timings live only in metrics/tracing/profiles, which
@@ -92,12 +93,7 @@ from .runtime import (
 )
 from .slo import SloObjective, SloReport, SloSpec, evaluate_slo
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
-from .windows import (
-    RequestSample,
-    Window,
-    WindowSeries,
-    windows_from_events,
-)
+from .windows import Window, WindowSeries, windows_from_events
 from .worker import TelemetryShard, WorkerTelemetry, replay_shard
 
 __all__ = [
@@ -117,7 +113,6 @@ __all__ = [
     "NullMetrics",
     "NullTracer",
     "Observer",
-    "RequestSample",
     "SamplingProfiler",
     "SloObjective",
     "SloReport",

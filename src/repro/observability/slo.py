@@ -4,9 +4,10 @@ The paper argues safeguards must be *demonstrable*; PAPERS.md's
 Ramirez et al. adds that evaluation policy should live in a
 knowledge base — **data, not code**. This module applies that to the
 operational layer: a service-level objective is a plain JSON
-document, and changing the policy (tighter latency bound, smaller
-error budget) is a data drop that flips ``repro-ethics obs slo``
-from exit 0 to exit 1 without touching a line of code.
+document, and changing the policy (a smaller error budget, a
+tighter error-rate ceiling) is a data drop that flips
+``repro-ethics obs slo`` from exit 0 to exit 1 without touching a
+line of code.
 
 A spec looks like::
 
@@ -16,25 +17,26 @@ A spec looks like::
       "objectives": [
         {"id": "availability", "metric": "error_rate",
          "threshold": 0.01, "comparison": "<="},
-        {"id": "p99", "metric": "latency_p99_seconds",
-         "threshold": 0.5, "comparison": "<="},
         {"id": "burn", "metric": "error_budget_burn",
          "threshold": 2.0, "comparison": "<=",
          "budget": 0.01, "windows": 3}
       ]
     }
 
-``metric`` names one of the per-window measurements a
-:class:`~repro.observability.windows.Window` reports, or the derived
+``metric`` is ``error_rate``, the one series a
+:class:`~repro.observability.windows.Window` measures, or the derived
 ``error_budget_burn`` (per-window ``error_rate / budget``, averaged
 over a rolling run of ``windows`` consecutive windows — the burn-rate
-alerting shape). Objectives are judged **per window**: a single bad
-window breaches, because logical windows are the unit of degradation
-the flight recorder and the audit chain can localize.
+alerting shape). A spec naming any other metric is invalid: an
+objective the audit chain can never measure could never fail, so it
+is rejected rather than silently passed. Objectives are judged **per
+window**: a single bad window breaches, because logical windows are
+the unit of degradation the flight recorder and the audit chain can
+localize.
 
-Windows that never saw a series (an audit-chain-fed run has no
-latencies) make the objective ``no-data`` rather than pass or fail —
-an absent measurement is evidence of nothing. Evaluation is a pure
+A chain with no request brackets yields no windows, and every
+objective over it is ``no-data`` rather than pass or fail — an
+absent measurement is evidence of nothing. Evaluation is a pure
 function of (spec, series): evaluating the windowed view of the same
 audit chain always yields the same report bytes, which is what makes
 SLO verdicts reproducible across batch worker counts.
@@ -54,18 +56,11 @@ __all__ = [
     "evaluate_slo",
 ]
 
-#: Window measurements an objective may target, plus the derived
+#: The window measurement an objective may target, plus the derived
 #: burn-rate metric. Sorted; surfaced in validation errors.
 SUPPORTED_METRICS: tuple[str, ...] = (
-    "cache_hit_rate",
     "error_budget_burn",
     "error_rate",
-    "latency_mean_seconds",
-    "latency_p50_seconds",
-    "latency_p99_seconds",
-    "queue_depth_max",
-    "queue_depth_mean",
-    "worker_utilization",
 )
 
 _COMPARISONS = ("<=", ">=")
@@ -80,11 +75,10 @@ class SloObjective:
     """One declarative objective: a metric, a bound, a direction.
 
     ``comparison`` is the direction a *healthy* window satisfies:
-    ``"<="`` for ceilings (error rate, latency), ``">="`` for floors
-    (cache hit rate, utilization). ``windows`` > 1 averages the
-    metric over that many consecutive windows before comparing —
-    with ``metric="error_budget_burn"`` and a ``budget`` that is
-    exactly the classic multi-window burn-rate alert.
+    ``"<="`` for a ceiling, ``">="`` for a floor. ``windows`` > 1
+    averages the metric over that many consecutive windows before
+    comparing — with ``metric="error_budget_burn"`` and a ``budget``
+    that is exactly the classic multi-window burn-rate alert.
     """
 
     id: str
@@ -275,22 +269,12 @@ def _series_values(
     objective: SloObjective, windows: tuple
 ) -> list[float | None]:
     """The per-window metric values this objective compares."""
-    if objective.metric == "error_budget_burn":
-        return [
-            (
-                None
-                if window.measurements()["error_rate"] is None
-                else round(
-                    window.measurements()["error_rate"]
-                    / objective.budget,
-                    6,
-                )
-            )
-            for window in windows
-        ]
+    rates = [window.measurements()["error_rate"] for window in windows]
+    if objective.metric == "error_rate":
+        return rates
     return [
-        window.measurements()[objective.metric]
-        for window in windows
+        None if rate is None else round(rate / objective.budget, 6)
+        for rate in rates
     ]
 
 

@@ -427,6 +427,11 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
         windows_from_events,
     )
 
+    window = request["window"]
+    if window is not None and window < 1:
+        raise OperationError(
+            f"--window must be at least 1 request, got {window}"
+        )
     try:
         raw = Path(request["spec"]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -443,7 +448,7 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
     spec = SloSpec.from_dict(body)
     series = windows_from_events(
         load_events(request["log"]),
-        window_size=request["window"] or spec.window_size,
+        window_size=spec.window_size if window is None else window,
     )
     report = evaluate_slo(spec, series)
     payload = report.to_dict()

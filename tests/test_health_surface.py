@@ -4,7 +4,8 @@ Pins down the acceptance properties of the health subsystem:
 
 * bucket-estimated percentiles land within one bucket bound of the
   exact nearest-rank percentile on deterministic synthetic workloads;
-* window merges are order-stable (commutative aggregates);
+* SLO specs name only the outcome metrics an audit chain records,
+  and a chain with no request brackets reads ``no-data``;
 * incident-bundle *bodies* are byte-identical across batch worker
   counts 1, 2 and 4, and so is the ``obs slo`` verdict over the
   resulting audit chains;
@@ -22,6 +23,7 @@ import math
 import multiprocessing
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,12 +36,12 @@ from repro.errors import (
 )
 from repro.observability import (
     BUCKET_BOUNDS,
+    AuditEvent,
     GENESIS_DIGEST,
     FlightRecorder,
     Histogram,
     IncidentBundle,
     Observer,
-    RequestSample,
     SloSpec,
     WindowSeries,
     evaluate_slo,
@@ -60,6 +62,25 @@ REQUEST_LINES = [
     {"op": "table1", "args": {"format": "csv"}},
     {"op": "intervals"},
 ]
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The spec behind ``golden/obs-slo.{txt,json}``: an error-rate
+#: ceiling plus a rolling error-budget burn.
+GOLDEN_SLO_SPEC = {
+    "name": "batch",
+    "window": 2,
+    "objectives": [
+        {"id": "errors", "metric": "error_rate", "threshold": 0.5},
+        {
+            "id": "burn",
+            "metric": "error_budget_burn",
+            "threshold": 0.9,
+            "budget": 0.25,
+            "windows": 2,
+        },
+    ],
+}
 
 
 @pytest.fixture
@@ -140,74 +161,6 @@ class TestHistogramQuantile:
         assert histogram.quantile(0.7) == _covering_bound(0.0005)
 
 
-def _sample_stream(seed: int, count: int) -> list[RequestSample]:
-    rng = random.Random(seed)
-    return [
-        RequestSample(
-            ok=rng.random() > 0.2,
-            latency=rng.choice([0.0005, 0.004, 0.02, 0.3]),
-            queue_depth=rng.randint(0, 6),
-            busy_workers=rng.randint(1, 4),
-            workers=4,
-            cache=rng.choice(["hit", "miss", None]),
-        )
-        for _ in range(count)
-    ]
-
-
-class TestWindowMerge:
-    def test_merge_is_order_stable(self):
-        left = WindowSeries(window_size=10)
-        right = WindowSeries(window_size=10)
-        left.observe_many(_sample_stream(1, 37))
-        right.observe_many(_sample_stream(2, 23))
-        forward = WindowSeries(window_size=10)
-        forward.observe_many(_sample_stream(1, 37))
-        forward.merge(right)
-        backward = WindowSeries(window_size=10)
-        backward.observe_many(_sample_stream(2, 23))
-        backward.merge(left)
-        assert forward.to_dict() == backward.to_dict()
-        assert forward.total == 60
-
-    def test_window_merge_commutes(self):
-        streams = (_sample_stream(3, 10), _sample_stream(4, 10))
-        windows = []
-        for stream in streams:
-            series = WindowSeries(window_size=10)
-            series.observe_many(stream)
-            windows.append(series.windows()[0])
-        ab = WindowSeries(window_size=10)
-        ab.observe_many(streams[0])
-        ab.windows()[0].merge(windows[1])
-        ba = WindowSeries(window_size=10)
-        ba.observe_many(streams[1])
-        ba.windows()[0].merge(windows[0])
-        assert (
-            ab.windows()[0].measurements()
-            == ba.windows()[0].measurements()
-        )
-
-    def test_mismatched_window_sizes_rejected(self):
-        left = WindowSeries(window_size=10)
-        right = WindowSeries(window_size=20)
-        with pytest.raises(SafeguardError) as excinfo:
-            left.merge(right)
-        assert "window sizes" in str(excinfo.value)
-
-    def test_unseen_series_report_none(self):
-        series = WindowSeries(window_size=5)
-        series.observe_many(
-            RequestSample(ok=True) for _ in range(5)
-        )
-        measurements = series.windows()[0].measurements()
-        assert measurements["error_rate"] == 0.0
-        assert measurements["latency_p99_seconds"] is None
-        assert measurements["cache_hit_rate"] is None
-        assert measurements["queue_depth_max"] is None
-        assert measurements["worker_utilization"] is None
-
-
 class TestSloSpec:
     def test_valid_spec_round_trips(self):
         spec = SloSpec.from_dict(
@@ -282,6 +235,18 @@ class TestSloSpec:
                 },
                 "duplicate",
             ),
+            (
+                {
+                    "objectives": [
+                        {
+                            "id": "x",
+                            "metric": "latency_p99_seconds",
+                            "threshold": 0.1,
+                        }
+                    ]
+                },
+                "['error_budget_burn', 'error_rate']",
+            ),
         ],
     )
     def test_invalid_specs_rejected(self, body, fragment):
@@ -294,9 +259,8 @@ class TestSloSpec:
 class TestSloEvaluation:
     def _series(self, outcomes: list[bool]) -> WindowSeries:
         series = WindowSeries(window_size=5)
-        series.observe_many(
-            RequestSample(ok=outcome) for outcome in outcomes
-        )
+        for outcome in outcomes:
+            series.observe(outcome)
         return series
 
     def test_breach_on_worst_window(self):
@@ -313,7 +277,11 @@ class TestSloEvaluation:
                 ],
             }
         )
-        report = evaluate_slo(spec, self._series(outcomes))
+        series = self._series(outcomes)
+        assert series.windows()[0].measurements() == {
+            "error_rate": 0.0
+        }
+        report = evaluate_slo(spec, series)
         (result,) = report.results
         assert result["status"] == "breached"
         assert result["measured"] == 0.4
@@ -343,21 +311,34 @@ class TestSloEvaluation:
         assert result["status"] == "ok"
 
     def test_no_data_does_not_gate(self):
+        # A chain with no request brackets windows to an empty series.
+        series = windows_from_events(
+            [AuditEvent(0, "access", "grant", "p-0").sealed()], 5
+        )
+        assert series.windows() == ()
         spec = SloSpec.from_dict(
             {
                 "window": 5,
                 "objectives": [
                     {
-                        "id": "p99",
-                        "metric": "latency_p99_seconds",
-                        "threshold": 0.5,
-                    }
+                        "id": "errors",
+                        "metric": "error_rate",
+                        "threshold": 0.0,
+                    },
+                    {
+                        "id": "burn",
+                        "metric": "error_budget_burn",
+                        "threshold": 1.0,
+                        "budget": 0.1,
+                    },
                 ],
             }
         )
-        report = evaluate_slo(spec, self._series([True] * 5))
-        (result,) = report.results
-        assert result["status"] == "no-data"
+        report = evaluate_slo(spec, series)
+        assert [r["status"] for r in report.results] == [
+            "no-data",
+            "no-data",
+        ]
         assert report.ok
         assert report.exit_code == 0
 
@@ -571,6 +552,24 @@ class TestIncidentByteIdentity:
             outputs.add(capsys.readouterr().out)
         assert codes == {0}
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slo_verdict_matches_golden(
+        self, requests_file, tmp_path, capsys, workers
+    ):
+        # Windows of 2 over REQUEST_LINES hold error rates 0.5, 0,
+        # 0.5, 0: the ceiling holds, the rolling burn breaches.
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps(GOLDEN_SLO_SPEC), encoding="utf-8")
+        _, log = self._run(requests_file, tmp_path, workers)
+        capsys.readouterr()
+        for suffix, extra in (("txt", []), ("json", ["--json"])):
+            code = main(["obs", "slo", str(spec), str(log), *extra])
+            golden = GOLDEN_DIR / f"obs-slo.{suffix}"
+            assert capsys.readouterr().out == golden.read_text(
+                encoding="utf-8"
+            )
+            assert code == 1
 
     def test_data_only_spec_change_flips_verdict(
         self, requests_file, tmp_path, capsys

@@ -3,6 +3,8 @@
 Every externally supplied file must surface as a :class:`ReproError`
 through the CLI's failure table — exit 1 with a single ``error:``
 line on stderr, or a ``CORRUPT`` chain diagnosis — never a traceback.
+Arguments a command cannot act on are usage errors instead: exit 2
+with the same single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -302,3 +304,43 @@ def test_corrupt_existing_log_is_refused_untouched(
     assert errors[0].startswith("error: ")
     assert str(log) in errors[0]
     assert log.read_bytes() == EXISTING_LOGS[log_case]
+
+
+#: ``obs slo`` inputs that are usage errors (exit 2), so a CI gate can
+#: tell them from a breach (exit 1): a window below one request, and a
+#: spec naming a metric the audit chain does not record. As (extra
+#: argv, the objective's metric, a fragment of the error line).
+SLO_USAGE_CASES = {
+    "window-zero": (["--window", "0"], "error_rate", "--window"),
+    "window-negative": (["--window", "-1"], "error_rate", "--window"),
+    "removed-metric": (
+        [], "latency_p99_seconds", "invalid SLO spec"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLO_USAGE_CASES))
+def test_obs_slo_usage_error_exits_2(case, tmp_path, capsys):
+    extra, metric, fragment = SLO_USAGE_CASES[case]
+    spec = tmp_path / "slo.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "objectives": [
+                    {"id": "x", "metric": metric, "threshold": 0.1}
+                ]
+            }
+        ),
+        encoding="utf-8",
+    )
+    # The log does not exist: a usage error is raised before the
+    # log is read.
+    log = tmp_path / "missing.jsonl"
+    code = main(["obs", "slo", str(spec), str(log), *extra])
+    captured = capsys.readouterr()
+    assert code == describe_failure(OperationError("probe"))[1] == 2
+    assert "Traceback" not in captured.err
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ")
+    assert fragment in errors[0]
