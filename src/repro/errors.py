@@ -133,3 +133,7 @@ class PolicyError(OperationError):
 
 class BatchError(OperationError):
     """A batch request file is malformed or cannot be read."""
+
+
+class InputError(OperationError):
+    """An input file is missing, unreadable, malformed or corrupt."""

@@ -67,9 +67,8 @@ from .export import (
 from .log import (
     AuditTrail,
     ChainVerification,
-    load_events,
+    read_chain,
     verify_events,
-    verify_jsonl,
 )
 from .metrics import (
     BUCKET_BOUNDS,
@@ -129,9 +128,9 @@ __all__ = [
     "flight_recorder",
     "get_observer",
     "load_bundle_text",
-    "load_events",
     "metrics",
     "observed",
+    "read_chain",
     "registry_from_events",
     "render_otlp",
     "render_prometheus",
@@ -141,6 +140,5 @@ __all__ = [
     "tracer",
     "verify_bundle_text",
     "verify_events",
-    "verify_jsonl",
     "windows_from_events",
 ]

@@ -10,9 +10,10 @@ that can be inspected while the process is still running; it lags
 the chain by at most one unwritten block, which is also the most a
 crash loses.
 
-Verification (:func:`verify_events` / :func:`verify_jsonl`) walks the
-chain once and reports a :class:`ChainVerification` that **localizes
-the first corrupted record**:
+Verification (:func:`verify_events`, or :func:`read_chain` for an
+on-disk log) walks the chain once and reports a
+:class:`ChainVerification` that **localizes the first corrupted
+record**:
 
 * a record whose stored digest does not match its recomputed digest
   has been *altered in place* (a bit flip anywhere in the line);
@@ -36,16 +37,15 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from ..errors import SafeguardError
+from ..errors import InputError, SafeguardError
 from .events import GENESIS_DIGEST, AuditEvent, encode_event
 
 __all__ = [
     "AuditTrail",
     "BLOCK_LINES",
     "ChainVerification",
-    "load_events",
+    "read_chain",
     "verify_events",
-    "verify_jsonl",
 ]
 
 #: Lines a path-backed trail buffers before writing them as one block.
@@ -156,11 +156,11 @@ def verify_events(
 def _read_log(
     path: str | Path | None, unwritten: bytes = b""
 ) -> Iterator[AuditEvent]:
-    """The line reader shared by :func:`load_events`,
-    :func:`verify_jsonl` and :class:`AuditTrail`.
+    """The line reader shared by :func:`read_chain` and
+    :class:`AuditTrail`.
 
     Reads the whole file at *path* (if any) now — an unreadable file
-    raises :class:`~repro.errors.SafeguardError` here — and returns
+    raises :class:`~repro.errors.InputError` here — and returns
     an iterator parsing one non-blank line per step, of the file and
     then of *unwritten*. A line that is not UTF-8 or not a valid
     record raises ``SafeguardError`` naming its line number.
@@ -171,7 +171,7 @@ def _read_log(
         try:
             data = path.read_bytes()
         except OSError as exc:
-            raise SafeguardError(
+            raise InputError(
                 f"cannot read audit log {path}: {exc}"
             ) from exc
 
@@ -230,34 +230,37 @@ def _last_record(path: Path) -> tuple[int, str]:
     return event.sequence + 1, event.digest
 
 
-def load_events(path: str | Path) -> list[AuditEvent]:
-    """Read every event from a JSONL audit log.
-
-    Raises :class:`~repro.errors.SafeguardError` on an unreadable
-    file or a line that does not parse (the error message carries
-    the line number, so even a bit flip that destroys the JSON or
-    its UTF-8 encoding is localized).
-    """
-    return list(_read_log(path))
-
-
-def verify_jsonl(
+def read_chain(
     path: str | Path,
     *,
     expected_length: int | None = None,
     expected_tail_digest: str | None = None,
-) -> ChainVerification:
-    """Verify an on-disk JSONL audit log, localizing corruption.
+) -> tuple[list[AuditEvent], ChainVerification]:
+    """Parse and verify an on-disk JSONL audit log in one pass.
 
-    A line that no longer parses (a bit flip can break the JSON
-    itself) is reported as the corrupt record at its 0-based index
-    rather than raising.
+    Returns the events the walk verified (those before the first
+    corrupt record) and the :class:`ChainVerification` of
+    :func:`verify_events`. A line that no longer parses (a bit flip
+    can break the JSON itself) is reported as the corrupt record at
+    its 0-based index; only an unreadable file raises
+    (:class:`~repro.errors.InputError`).
     """
-    return verify_events(
-        _read_log(path),
+    events: list[AuditEvent] = []
+    # Read now: inside the walk an unreadable file would be reported
+    # as a corrupt record 0 instead of raising.
+    records = _read_log(path)
+
+    def kept() -> Iterator[AuditEvent]:
+        for event in records:
+            events.append(event)
+            yield event
+
+    verification = verify_events(
+        kept(),
         expected_length=expected_length,
         expected_tail_digest=expected_tail_digest,
     )
+    return events[: verification.length], verification
 
 
 class AuditTrail:

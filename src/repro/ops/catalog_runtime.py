@@ -188,11 +188,37 @@ def _run_simulate_reb(request: dict, ctx: RunContext) -> OpResponse:
     return OpResponse(payload=payload, text=_text(lines))
 
 
+def _read_input(path: str, what: str) -> str:
+    """The UTF-8 text of the input file at *path*, named *what* in
+    the :class:`~repro.errors.InputError` raised if it cannot be
+    read."""
+    from pathlib import Path
+
+    from ..errors import InputError
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _verified_events(path: str) -> list:
+    """The events of the audit log at *path*; a corrupt chain is
+    refused with an :class:`~repro.errors.InputError`."""
+    from ..errors import InputError
+    from ..observability import read_chain
+
+    events, verification = read_chain(path)
+    if not verification.ok:
+        raise InputError(verification.describe())
+    return events
+
+
 def _run_audit_verify(request: dict, ctx: RunContext) -> OpResponse:
     """Walk an audit log's hash chain and localize corruption."""
-    from ..observability import verify_jsonl
+    from ..observability import read_chain
 
-    verification = verify_jsonl(
+    _, verification = read_chain(
         request["log"],
         expected_length=request["expect_length"],
         expected_tail_digest=request["expect_tail"],
@@ -214,12 +240,9 @@ def _run_audit_verify(request: dict, ctx: RunContext) -> OpResponse:
 
 def _run_audit_tail(request: dict, ctx: RunContext) -> OpResponse:
     """Print the last events of a persisted audit log."""
-    from ..observability import load_events
-
-    events = load_events(request["log"])
     lines: list[str] = []
     tail = []
-    for event in events[-request["count"]:]:
+    for event in _verified_events(request["log"])[-request["count"]:]:
         subject = f" {event.subject}" if event.subject else ""
         detail = json.dumps(event.detail, sort_keys=True)
         lines.append(
@@ -241,10 +264,9 @@ def _run_audit_tail(request: dict, ctx: RunContext) -> OpResponse:
 
 def _run_audit_report(request: dict, ctx: RunContext) -> OpResponse:
     """Event counts by category/action plus the chain anchors."""
-    from ..observability import load_events, verify_events
+    from ..observability import read_chain
 
-    events = load_events(request["log"])
-    verification = verify_events(events)
+    events, verification = read_chain(request["log"])
     actions: dict[str, int] = {}
     categories: dict[str, int] = {}
     for event in events:
@@ -290,13 +312,12 @@ def _run_audit_report(request: dict, ctx: RunContext) -> OpResponse:
 def _run_obs_export(request: dict, ctx: RunContext) -> OpResponse:
     """Render an audit log's derived metrics for egress."""
     from ..observability import (
-        load_events,
         registry_from_events,
         render_otlp,
         render_prometheus,
     )
 
-    registry = registry_from_events(load_events(request["log"]))
+    registry = registry_from_events(_verified_events(request["log"]))
     if request["format"] == "prometheus":
         rendered = render_prometheus(registry.snapshot())
         text = rendered
@@ -343,18 +364,11 @@ def _run_obs_profile(request: dict, ctx: RunContext) -> OpResponse:
 
 def _run_obs_top(request: dict, ctx: RunContext) -> OpResponse:
     """The hottest frames of a saved collapsed-stack profile."""
-    from pathlib import Path
-
-    from ..errors import SafeguardError
     from ..observability import top_collapsed
 
-    try:
-        text = Path(request["profile"]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SafeguardError(
-            f"cannot read profile {request['profile']!r}: {exc}"
-        ) from exc
-    rows = top_collapsed(text, request["limit"])
+    rows = top_collapsed(
+        _read_input(request["profile"], "profile"), request["limit"]
+    )
     payload = {
         "limit": request["limit"],
         "rows": [[frame, count] for frame, count in rows],
@@ -417,27 +431,15 @@ def _run_obs_health(request: dict, ctx: RunContext) -> OpResponse:
 
 def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
     """Judge a declarative SLO spec against an audit chain."""
-    from pathlib import Path
-
-    from ..errors import OperationError, SafeguardError
-    from ..observability import (
-        SloSpec,
-        evaluate_slo,
-        load_events,
-        windows_from_events,
-    )
+    from ..errors import OperationError
+    from ..observability import SloSpec, evaluate_slo, windows_from_events
 
     window = request["window"]
     if window is not None and window < 1:
         raise OperationError(
             f"--window must be at least 1 request, got {window}"
         )
-    try:
-        raw = Path(request["spec"]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SafeguardError(
-            f"cannot read SLO spec {request['spec']!r}: {exc}"
-        ) from exc
+    raw = _read_input(request["spec"], "SLO spec")
     try:
         body = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -447,7 +449,7 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
         ) from exc
     spec = SloSpec.from_dict(body)
     series = windows_from_events(
-        load_events(request["log"]),
+        _verified_events(request["log"]),
         window_size=spec.window_size if window is None else window,
     )
     report = evaluate_slo(spec, series)
@@ -464,22 +466,14 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
 
 def _run_obs_incident(request: dict, ctx: RunContext) -> OpResponse:
     """Verify and summarise a dumped incident bundle."""
-    from pathlib import Path
-
-    from ..errors import SafeguardError
+    from ..errors import InputError, SafeguardError
     from ..observability import load_bundle_text, verify_bundle_text
 
-    try:
-        text = Path(request["bundle"]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SafeguardError(
-            f"cannot read incident bundle "
-            f"{request['bundle']!r}: {exc}"
-        ) from exc
+    text = _read_input(request["bundle"], "incident bundle")
     try:
         header, records, envelope = load_bundle_text(text)
     except SafeguardError as exc:
-        raise SafeguardError(f"{request['bundle']}: {exc}") from exc
+        raise InputError(f"{request['bundle']}: {exc}") from exc
     verification = verify_bundle_text(text)
     payload = {
         "dropped": header["dropped"],

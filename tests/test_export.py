@@ -9,7 +9,7 @@ from repro.observability import (
     NULL_METRICS,
     AuditTrail,
     MetricsRegistry,
-    load_events,
+    read_chain,
     registry_from_events,
     render_otlp,
     render_prometheus,
@@ -256,7 +256,9 @@ class TestRegistryFromEvents:
         trail.event("pipeline", "stage-applied", subject="scrub")
         trail.event("storage", "sealed", subject="blob")
         trail.close()
-        return load_events(trail.path)
+        events, verification = read_chain(trail.path)
+        assert verification.ok
+        return events
 
     def test_counters_and_anchors(self, tmp_path):
         events = self._trail_events(tmp_path)

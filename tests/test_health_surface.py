@@ -46,8 +46,8 @@ from repro.observability import (
     WindowSeries,
     evaluate_slo,
     load_bundle_text,
-    load_events,
     observed,
+    read_chain,
     verify_bundle_text,
     windows_from_events,
 )
@@ -517,9 +517,11 @@ class TestIncidentByteIdentity:
             assert header["plan"]["requests"] == len(REQUEST_LINES)
         assert bodies[1] == bodies[2] == bodies[4]
         # The chain-derived window series is invariant too.
+        chains = [read_chain(logs[w]) for w in (1, 2, 4)]
+        assert all(verification.ok for _, verification in chains)
         series = [
-            windows_from_events(load_events(logs[w]), 3).to_dict()
-            for w in (1, 2, 4)
+            windows_from_events(events, 3).to_dict()
+            for events, _ in chains
         ]
         assert series[0] == series[1] == series[2]
 

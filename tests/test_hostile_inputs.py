@@ -1,10 +1,16 @@
 """Malformed input files give one typed error line, never a traceback.
 
 Every externally supplied file must surface as a :class:`ReproError`
-through the CLI's failure table — exit 1 with a single ``error:``
-line on stderr, or a ``CORRUPT`` chain diagnosis — never a traceback.
-Arguments a command cannot act on are usage errors instead: exit 2
-with the same single ``error:`` line.
+through the CLI's failure table, never a traceback. One rule holds
+for input files: a missing, unreadable, malformed or corrupt input
+exits 2 with a single ``error:`` line on stderr
+(:class:`~repro.errors.InputError`), as do arguments a command cannot
+act on. Exit 1 is a finding: a breached objective, or a verifier
+(``audit verify``, ``audit report``, ``obs incident``) reporting the
+``CORRUPT`` chain it read. An op that reads an audit log acts only on
+a chain it has verified. The ``--audit-log`` an op appends to is an
+output, not an input: one whose last line is not intact is refused
+with exit 1 and left untouched.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ import pytest
 from repro.cli.main import main
 from repro.errors import (
     BatchError,
+    InputError,
     OperationError,
     PolicyError,
     SafeguardError,
 )
+from repro.ops import default_registry
 from repro.ops.failures import describe_failure
 
 _HEADER = {
@@ -67,56 +75,73 @@ def _rechained_bundle(frame: dict) -> bytes:
     )
 
 
+#: Malformed input files: (argv, content, exit code). Exit 2 is the
+#: reader refusing the file with one ``error:`` line; exit 1 is a
+#: verifier reporting the corrupt record it found.
 CASES = {
     "bundle-header-only": (
         ["obs", "incident", "{path}", "--tail", "5"],
         _lines({"bundle": "repro-incident"}),
+        2,
     ),
     "bundle-record-without-frame": (
         ["obs", "incident", "{path}", "--tail", "5"],
         _lines(_HEADER, {"index": 0}),
+        1,
     ),
     "bundle-frame-missing-keys": (
         ["obs", "incident", "{path}", "--tail", "5"],
         _rechained_bundle({"kind": "event"}),
+        1,
     ),
     "bundle-not-utf8": (
         ["obs", "incident", "{path}"],
         _lines(_HEADER)[:-2] + b'\xff"}\n',
+        2,
     ),
     "audit-detail-not-object": (
         ["audit", "tail", "{path}"],
         _lines({**_EVENT, "detail": [1]}),
+        2,
     ),
     "audit-category-not-string": (
         ["audit", "report", "{path}"],
         _lines({**_EVENT, "category": ["a"]}),
+        1,
     ),
     "audit-tail-not-utf8": (
         ["audit", "tail", "{path}"],
         _lines(_EVENT).replace(b"p-0", b"p-\xff"),
+        2,
     ),
     "audit-report-not-utf8": (
         ["audit", "report", "{path}"],
         _lines(_EVENT).replace(b"p-0", b"p-\xff"),
+        1,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_malformed_input_exits_1_with_one_line(case, tmp_path, capsys):
-    argv, content = CASES[case]
+    """Refused (exit 2, one ``error:`` line) or reported corrupt at
+    record 0 (exit 1, nothing on stderr)."""
+    argv, content, expected = CASES[case]
     path = tmp_path / "input.jsonl"
     path.write_bytes(content)
     code = main([arg.format(path=path) for arg in argv])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == expected
     errors = captured.err.strip().splitlines()
-    if errors:
+    if expected == 2:
         assert len(errors) == 1
         assert errors[0].startswith("error: ")
     else:
-        assert "CORRUPT at record 0" in captured.out
+        assert errors == []
+        assert (
+            "CORRUPT at record 0" in captured.out
+            or "first corrupt record: 0" in captured.out
+        )
 
 
 _NOT_UTF8 = b'{"op": "x\xff"}\n'
@@ -159,7 +184,7 @@ READER_CASES = {
     "slo-spec-not-utf8": (
         ["obs", "slo", "{path}", "{log}"],
         _NOT_UTF8,
-        SafeguardError,
+        InputError,
         "{path}",
     ),
     "slo-spec-too-deep": (
@@ -174,11 +199,11 @@ READER_CASES = {
     "bundle-too-deep": (
         ["obs", "incident", "{path}"],
         _TOO_DEEP,
-        SafeguardError,
+        InputError,
         "{path}: incident bundle line 1",
     ),
     "profile-not-utf8": (
-        ["obs", "top", "{path}"], _NOT_UTF8, SafeguardError, "{path}"
+        ["obs", "top", "{path}"], _NOT_UTF8, InputError, "{path}"
     ),
 }
 
@@ -344,3 +369,179 @@ def test_obs_slo_usage_error_exits_2(case, tmp_path, capsys):
     assert len(errors) == 1
     assert errors[0].startswith("error: ")
     assert fragment in errors[0]
+
+
+#: An SLO gate the intact batch chain below breaches: two of its six
+#: requests fail, so a window of two reads an error rate of 0.5.
+_SLO_SPEC = {
+    "name": "gate",
+    "window": 2,
+    "objectives": [
+        {"id": "errors", "metric": "error_rate", "threshold": 0.4}
+    ],
+}
+
+_BATCH_OPS = (
+    "stats", "no-such-op", "stats", "no-such-op", "stats", "stats"
+)
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """A batch's intact 14-event chain, a tampered copy and a cut copy.
+
+    The tampered copy renames both ``request-failed`` actions
+    (records 4 and 8) to ``request-started``, which turns the SLO
+    gate green for any reader that does not walk the chain. The cut
+    copy keeps records 0–3, a valid prefix ending before the first
+    failure.
+    """
+    from repro.observability import read_chain
+
+    root = tmp_path_factory.mktemp("chains")
+    requests = root / "requests.jsonl"
+    requests.write_text(
+        "".join(json.dumps({"op": op}) + "\n" for op in _BATCH_OPS),
+        encoding="utf-8",
+    )
+    intact = root / "intact.jsonl"
+    main(["batch", str(requests), "--audit-log", str(intact)])
+    events, verification = read_chain(intact)
+    assert verification.ok and len(events) == 14
+    failed = [e.sequence for e in events if e.action == "request-failed"]
+    assert failed == [4, 8]
+    data = intact.read_bytes()
+    tampered = root / "tampered.jsonl"
+    tampered.write_bytes(
+        data.replace(b'"request-failed"', b'"request-started"')
+    )
+    cut = root / "cut.jsonl"
+    cut.write_bytes(b"".join(data.splitlines(keepends=True)[:4]))
+    spec = root / "slo.json"
+    spec.write_text(json.dumps(_SLO_SPEC), encoding="utf-8")
+    return {
+        "cut": cut,
+        "intact": intact,
+        "spec": spec,
+        "tampered": tampered,
+    }
+
+
+#: Ops that act on a chain's events: on a corrupt chain they refuse.
+REFUSING_OPS = {
+    "audit-tail": ["audit", "tail", "{log}"],
+    "obs-export": ["obs", "export", "{log}"],
+    "obs-slo": ["obs", "slo", "{spec}", "{log}"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(REFUSING_OPS))
+def test_tampered_chain_is_refused_with_exit_2(op, chains, capsys):
+    argv = [
+        arg.format(log=chains["tampered"], spec=chains["spec"])
+        for arg in REFUSING_OPS[op]
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == describe_failure(InputError("probe"))[1] == 2
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: chain CORRUPT at record 4: ")
+
+
+#: Every input file of the log, spec, bundle and profile readers,
+#: each named by a path that does not exist.
+MISSING_INPUTS = {
+    "audit-verify-log": ["audit", "verify", "{missing}"],
+    "audit-tail-log": ["audit", "tail", "{missing}"],
+    "audit-report-log": ["audit", "report", "{missing}"],
+    "obs-export-log": ["obs", "export", "{missing}"],
+    "obs-slo-log": ["obs", "slo", "{spec}", "{missing}"],
+    "obs-slo-spec": ["obs", "slo", "{missing}", "{log}"],
+    "obs-incident-bundle": ["obs", "incident", "{missing}"],
+    "obs-top-profile": ["obs", "top", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_exits_2(case, chains, tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    argv = [
+        arg.format(
+            log=chains["intact"], missing=missing, spec=chains["spec"]
+        )
+        for arg in MISSING_INPUTS[case]
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot read ")
+    assert str(missing) in errors[0]
+
+
+def test_audit_report_localizes_a_line_that_is_not_json(
+    tmp_path, capsys
+):
+    log = tmp_path / "audit.jsonl"
+    log.write_bytes(b'{"sequence": 0, "digest"\n')
+    code = main(["audit", "report", str(log)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "intact: False" in captured.out
+    assert "first corrupt record: 0" in captured.out
+
+
+def test_cut_log_needs_the_anchored_verify(chains, capsys):
+    """A valid prefix cut before the first failure passes the SLO
+    gate; only ``audit verify`` with the recorded length catches the
+    cut, so a CI gate pairs the two."""
+    spec = str(chains["spec"])
+    assert main(["obs", "slo", spec, str(chains["intact"])]) == 1
+    assert main(["obs", "slo", spec, str(chains["cut"])]) == 0
+    assert main(["audit", "verify", str(chains["cut"])]) == 0
+    capsys.readouterr()
+    anchored = ["audit", "verify", str(chains["cut"]), "--expect-length"]
+    assert main([*anchored, "14"]) == 1
+    assert "CORRUPT at record 4" in capsys.readouterr().out
+
+
+#: Values for the other required arguments of an op that reads a log.
+_LOG_OP_ARGS = {"spec": "spec"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        operation.name
+        for operation in default_registry()
+        if any(arg.dest == "log" for arg in operation.args)
+    ),
+)
+def test_no_log_reading_op_passes_a_tampered_chain(name, chains, capsys):
+    """Every registered op taking a ``log`` reports the corruption
+    (exit 1) or refuses the chain (exit 2); none exits 0."""
+    argv = name.split(".")
+    for arg in default_registry().get(name).args:
+        if arg.dest == "log":
+            value = chains["tampered"]
+        elif arg.required:
+            assert arg.dest in _LOG_OP_ARGS, (
+                f"{name}: no test value for required argument {arg.dest!r}"
+            )
+            value = chains[_LOG_OP_ARGS[arg.dest]]
+        else:
+            continue
+        argv += [str(value)] if arg.positional else [arg.name, str(value)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.err == ""
+        assert "corrupt" in captured.out.lower()
+        assert "record 4" in captured.out or "record: 4" in captured.out
+    else:
+        assert code == 2, (name, code, captured.out)
+        assert "CORRUPT at record 4" in captured.err

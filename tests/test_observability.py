@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli.main import main as cli_main
-from repro.errors import SafeguardError
+from repro.errors import InputError, SafeguardError
 from repro.observability import (
     GENESIS_DIGEST,
     NULL_METRICS,
@@ -40,13 +40,12 @@ from repro.observability import (
     Tracer,
     audit_event,
     get_observer,
-    load_events,
     metrics,
     observed,
+    read_chain,
     set_observer,
     tracer,
     verify_events,
-    verify_jsonl,
 )
 from repro.observability.log import BLOCK_LINES
 
@@ -136,9 +135,9 @@ class TestJsonlLog:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         self._write_log(path)
-        events = load_events(path)
+        events, verification = read_chain(path)
         assert [e.sequence for e in events] == [0, 1, 2, 3, 4]
-        assert verify_jsonl(path).ok
+        assert verification.ok
 
     def test_json_breaking_flip_localized(self, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -146,10 +145,11 @@ class TestJsonlLog:
         lines = path.read_text().splitlines()
         lines[2] = lines[2][:-1] + "]"  # no longer parses
         path.write_text("\n".join(lines) + "\n")
-        verification = verify_jsonl(path)
+        events, verification = read_chain(path)
         assert not verification.ok
         assert verification.error_index == 2
         assert "valid JSON" in verification.reason
+        assert [e.sequence for e in events] == [0, 1]
 
     def test_json_preserving_flip_localized(self, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -159,14 +159,15 @@ class TestJsonlLog:
         record["subject"] = "p-999"  # digest left as recorded
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        verification = verify_jsonl(path)
+        events, verification = read_chain(path)
         assert not verification.ok
         assert verification.error_index == 3
         assert "altered in place" in verification.reason
+        assert [e.sequence for e in events] == [0, 1, 2]
 
     def test_unreadable_log_raises(self, tmp_path):
-        with pytest.raises(SafeguardError):
-            load_events(tmp_path / "missing.jsonl")
+        with pytest.raises(InputError):
+            read_chain(tmp_path / "missing.jsonl")
 
 
 class TestFlushPoint:
@@ -180,13 +181,13 @@ class TestFlushPoint:
             trail.event("access", "grant", subject=f"p-{index}")
         data = path.read_bytes()
         assert data == b"" or data.endswith(b"\n")  # whole lines only
-        on_disk = verify_jsonl(path)
+        on_disk = read_chain(path)[1]
         assert on_disk.ok
         assert on_disk.length <= len(trail)
         # At most one unwritten block lags behind the chain.
         assert len(trail) - on_disk.length < BLOCK_LINES
         trail.close()
-        closed = verify_jsonl(path)
+        closed = read_chain(path)[1]
         assert closed.ok
         assert closed.length == len(trail) == count
         assert closed.tail_digest == trail.tail_digest
@@ -199,7 +200,7 @@ class TestFlushPoint:
         trail.close()
         trail.event("access", "revoke")
         assert len(trail) == 2 and trail.verify().ok
-        assert verify_jsonl(path).length == 1
+        assert read_chain(path)[1].length == 1
 
 
 class TestStatelessTrail:
@@ -229,7 +230,7 @@ class TestStatelessTrail:
         for index in range(BLOCK_LINES + 3):
             trail.event("access", "grant", subject=f"p-{index}")
         # Written block plus unwritten lines, without a flush.
-        assert verify_jsonl(path).length == BLOCK_LINES
+        assert read_chain(path)[1].length == BLOCK_LINES
         assert [event.sequence for event in trail.tail(2)] == [
             BLOCK_LINES + 1,
             BLOCK_LINES + 2,
@@ -237,9 +238,9 @@ class TestStatelessTrail:
         assert trail.verify() == verify_events(
             list(trail), expected_length=BLOCK_LINES + 3
         )
-        assert verify_jsonl(path).length == BLOCK_LINES
+        assert read_chain(path)[1].length == BLOCK_LINES
         trail.close()
-        assert trail.verify() == verify_jsonl(path)
+        assert trail.verify() == read_chain(path)[1]
 
     def test_existing_log_is_continued(self, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -252,7 +253,7 @@ class TestStatelessTrail:
             event = second.event("access", "revoke")
         assert event.sequence == 2
         assert event.previous_digest == first.tail_digest
-        verification = verify_jsonl(
+        _, verification = read_chain(
             path,
             expected_length=len(second),
             expected_tail_digest=second.tail_digest,
@@ -267,16 +268,16 @@ class TestStatelessTrail:
         path.write_bytes(path.read_bytes() + b"\n\n")
         with AuditTrail(path) as second:
             second.event("access", "revoke")
-        assert verify_jsonl(
+        assert read_chain(
             path, expected_tail_digest=second.tail_digest
-        ).length == 2
+        )[1].length == 2
 
     def test_blank_log_starts_a_new_chain(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         path.write_bytes(b"\n  \n")
         with AuditTrail(path) as trail:
             trail.event("access", "grant")
-        assert verify_jsonl(path, expected_length=1).ok
+        assert read_chain(path, expected_length=1)[1].ok
 
     def test_second_writer_breaks_chain_intact(self, tmp_path):
         path = tmp_path / "audit.jsonl"
@@ -370,7 +371,7 @@ class TestSplitEncoding:
                 assert trail.tail(2)[sequence].digest == digest
                 assert trail.tail(2)[sequence].to_json() == line
                 previous = digest
-            verification = verify_jsonl(path)
+            verification = read_chain(path)[1]
             assert verification.ok
             assert verification.length == 2
             assert verification.tail_digest == previous
@@ -551,9 +552,9 @@ class TestCliEndToEnd:
         payload = self._run_pipeline(log_path, capsys)
         observability = payload["observability"]
         assert observability["chain_intact"] is True
-        assert observability["audit_events"] == len(
-            load_events(log_path)
-        )
+        events, verification = read_chain(log_path)
+        assert verification.ok
+        assert observability["audit_events"] == len(events)
         assert cli_main(["audit", "verify", str(log_path)]) == 0
         assert (
             cli_main(
@@ -609,7 +610,7 @@ class TestCliEndToEnd:
         expected = payload["observability"]["audit_events"]
         lines = log_path.read_text().splitlines()
         log_path.write_text("\n".join(lines[:-1]) + "\n")
-        assert verify_jsonl(log_path).ok  # chain alone cannot tell
+        assert read_chain(log_path)[1].ok  # chain alone cannot tell
         status = cli_main(
             [
                 "audit",
@@ -660,8 +661,8 @@ class TestCliEndToEnd:
         )
         capsys.readouterr()
         assert status == 0
-        events = load_events(log_path)
-        assert verify_jsonl(log_path).ok
+        events, verification = read_chain(log_path)
+        assert verification.ok
         categories = {event.category for event in events}
         assert "reb" in categories
         actions = {event.action for event in events}
@@ -685,7 +686,7 @@ class TestCliEndToEnd:
             ["audit", "verify", str(tmp_path / "missing.jsonl")]
         )
         captured = capsys.readouterr()
-        assert status == 1
+        assert status == 2  # a missing input, not a corrupt chain
         assert "error" in captured.err
 
 
@@ -709,5 +710,5 @@ class TestDeterminism:
             )
             capsys.readouterr()
             assert status == 0
-            digests.append(verify_jsonl(path).tail_digest)
+            digests.append(read_chain(path)[1].tail_digest)
         assert digests[0] == digests[1]

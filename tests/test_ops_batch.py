@@ -132,9 +132,11 @@ class TestBatchExecutor:
 
 
 def _events(path):
-    from repro.observability.log import load_events
+    from repro.observability import read_chain
 
-    return load_events(path)
+    events, verification = read_chain(path)
+    assert verification.ok, verification.describe()
+    return events
 
 
 def _comparable(events):
@@ -199,8 +201,6 @@ class TestBatchCLI:
     def test_audit_chain_verifies_for_any_worker_count(
         self, requests_file, tmp_path, workers, capsys
     ):
-        from repro.observability.log import verify_jsonl
-
         log = tmp_path / f"audit-{workers}.jsonl"
         assert (
             main(
@@ -216,7 +216,6 @@ class TestBatchCLI:
             == 0
         )
         capsys.readouterr()
-        assert verify_jsonl(log).ok
         events = _events(log)
         actions = [event.action for event in events]
         assert actions[0] == "batch-started"

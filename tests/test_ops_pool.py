@@ -417,16 +417,18 @@ class TestWorkerLoss:
             with pytest.raises(BatchError):
                 executor.run(load_requests(requests_file))
         observer.trail.close()
-        from repro.observability import load_events
+        from repro.observability import read_chain
 
-        actions = [event.action for event in load_events(log)]
+        events, verification = read_chain(log)
+        assert verification.ok
+        actions = [event.action for event in events]
         assert "worker-lost" in actions
 
     def test_failed_batch_leaves_a_verifiable_log(
         self, requests_file, monkeypatch, tmp_path
     ):
         """The batch op writes the buffered block even when it raises."""
-        from repro.observability import load_events, verify_jsonl
+        from repro.observability import read_chain
         from repro.ops import execute
         from repro.ops import pool as pool_module
 
@@ -443,9 +445,8 @@ class TestWorkerLoss:
                     "audit_log": str(log),
                 },
             )
-        verification = verify_jsonl(log)
+        events, verification = read_chain(log)
         assert verification.ok
-        events = load_events(log)
         assert verification.length == len(events)
         assert events[0].action == "batch-started"
         assert events[-1].action == "worker-lost"

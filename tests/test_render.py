@@ -193,9 +193,11 @@ class TestLatexBooktabs:
 
 
 def _events(path):
-    from repro.observability.log import load_events
+    from repro.observability import read_chain
 
-    return load_events(path)
+    events, verification = read_chain(path)
+    assert verification.ok, verification.describe()
+    return events
 
 
 def _comparable(events):

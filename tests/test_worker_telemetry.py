@@ -27,9 +27,9 @@ from repro.observability import (
     TelemetryShard,
     WorkerTelemetry,
     audit_event,
-    load_events,
     metrics,
     observed,
+    read_chain,
     replay_shard,
     tracer,
 )
@@ -70,10 +70,17 @@ def run_with_trail(tmp_path, workers: int):
     return result, observer, log_path
 
 
+def verified_events(log_path) -> list:
+    """The events of a log this test wrote, which must verify."""
+    events, verification = read_chain(log_path)
+    assert verification.ok, verification.describe()
+    return events
+
+
 def chain_content(log_path) -> list[tuple]:
     """(category, action, subject, detail-sans-workers) per event."""
     content = []
-    for event in load_events(log_path):
+    for event in verified_events(log_path):
         detail = dict(event.detail)
         detail.pop("workers", None)
         content.append(
@@ -153,7 +160,7 @@ class TestChainEquivalence:
 
     def test_stage_events_carry_counts_not_timings(self, tmp_path):
         _, _, log_path = run_with_trail(tmp_path, 2)
-        for event in load_events(log_path):
+        for event in verified_events(log_path):
             if event.action != "stage-applied":
                 continue
             assert set(event.detail) == {
@@ -171,7 +178,7 @@ class TestChainEquivalence:
         # One seal span per chunk, counted once in the summary.
         sealed_chunks = [
             event
-            for event in load_events(log_path)
+            for event in verified_events(log_path)
             if event.action == "stage-applied" and event.subject == "seal"
         ]
         summary = observer.tracer.summary()
@@ -201,7 +208,7 @@ class TestShardMechanics:
         with observed(observer):
             replay_shard(telemetry)
         observer.trail.close()
-        events = load_events(observer.trail.path)
+        events = verified_events(observer.trail.path)
         assert [event.action for event in events] == ["stage-applied"]
         assert events[0].detail == {"chunk": 3}
         snapshot = observer.metrics.snapshot()
@@ -226,7 +233,7 @@ class TestShardMechanics:
         observer.trail.close()
         actions = [
             event.action
-            for event in load_events(observer.trail.path)
+            for event in verified_events(observer.trail.path)
         ]
         assert actions == ["outer-event"]
 
@@ -251,7 +258,7 @@ class TestFailurePropagation:
         assert failure.chunk_index == 1
         assert "synthetic stage fault" in failure.cause
         assert "chunk 1" in str(failure)
-        events = load_events(observer.trail.path)
+        events = verified_events(observer.trail.path)
         failed = [
             event
             for event in events
@@ -331,7 +338,7 @@ class TestWorkerLoss:
         assert "BrokenProcessPool" in message
         lost = [
             event
-            for event in load_events(observer.trail.path)
+            for event in verified_events(observer.trail.path)
             if event.action == "worker-lost"
         ]
         assert [(e.category, e.detail["span"]) for e in lost] == [
