@@ -6,7 +6,7 @@ Three budgets from ``docs/api.md`` and ``docs/performance.md``:
   executor ran a 24-request batch at 402 req/s with ``workers=4``
   against 2802 req/s serial, because pool startup and cold
   per-worker caches dominated. With the warm pool (pre-forked
-  workers, shared coordinator cache, chunked submission) the
+  workers, one coordinator cache, chunked submission) the
   benchmark asserts ``workers=4`` **sustained** throughput is at
   least the serial rate on a repeated-pure-op workload, and records
   the warm/cold ratio (a second batch on the same pool must show no
@@ -217,10 +217,9 @@ def test_e17_warm_pool_throughput_and_cache_speedup(tmp_path):
             requests
         )
         assert warm_result.text() == serial_result.text()
-        assert warm_result.summary["cache"]["workers"] == {
-            "hits": 0,
-            "misses": 0,
-        }, "sustained runs must be served without pool traffic"
+        assert warm_result.summary["cache"]["misses"] == 0, (
+            "sustained runs must be served without pool traffic"
+        )
 
         latency = _latency_percentiles(requests)
         crossover = _crossover(tmp_path)

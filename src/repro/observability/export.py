@@ -21,9 +21,10 @@ actually run. Two wire formats, both pure functions of their inputs:
   deliberately clock-free.
 
 :func:`registry_from_events` bridges the audit side: it folds a
-verified event chain into counters/gauges (``audit.events.<category>.
-<action>`` counts plus chain anchors), which is what makes
-``repro-ethics obs export`` deterministic for seeded runs.
+verified event chain and its verification into counters/gauges
+(``audit.events.<category>.<action>`` counts plus chain anchors),
+which is what makes ``repro-ethics obs export`` deterministic for
+seeded runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from collections.abc import Sequence
 
 from .events import AuditEvent
-from .log import verify_events
+from .log import ChainVerification
 from .metrics import BUCKET_BOUNDS, MetricsRegistry
 
 __all__ = [
@@ -296,6 +297,7 @@ def render_otlp(
 
 def registry_from_events(
     events: Sequence[AuditEvent],
+    verification: ChainVerification,
 ) -> MetricsRegistry:
     """Fold an audit chain into an exportable metrics registry.
 
@@ -303,7 +305,9 @@ def registry_from_events(
     distinct event kind (action hyphens become underscores so names
     stay dotted snake_case), an ``audit.events`` grand total, and the
     chain anchors as gauges: ``audit.chain.length`` and
-    ``audit.chain.intact`` (1 or 0 from a full verification walk).
+    ``audit.chain.intact`` (1 or 0), read from *verification*: the
+    walk that read *events* (:func:`~repro.observability.read_chain`),
+    so no event is hashed twice.
     Because the chain is clock-free, two same-seed runs export the
     same bytes — the property ``repro-ethics obs export`` relies on.
     """
@@ -316,7 +320,6 @@ def registry_from_events(
         registry.counter(
             f"audit.events.{category}.{action}"
         ).inc()
-    verification = verify_events(events)
     registry.gauge("audit.chain.length").set(verification.length)
     registry.gauge("audit.chain.intact").set(
         1 if verification.ok else 0

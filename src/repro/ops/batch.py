@@ -15,14 +15,17 @@ is a verifiable transcript of serial CLI invocations.
 Every run executes one **cache-aware**, **chunked** dispatch plan
 (see :mod:`repro.ops.pool`): the coordinator validates every distinct
 operation once up front (an unknown op never spins up a worker),
-serves pure requests whose content address is already in its shared
+serves pure requests whose content address is already in its
 :class:`~repro.ops.cache.ResultCache` without touching the pool,
 groups the rest into contiguous per-worker chunks, and folds the
-``(key, response)`` pairs each chunk computed back into the shared
-cache — so a pure result computed by worker A is a coordinator hit
-for worker B's identical request. ``workers=1`` is the same plan with
-every request served locally: no chunk, no worker process. With
-``warm=True`` the pool, the coordinator context and the shared cache
+response lines each chunk computed into that cache — so a pure
+result computed by worker A is a coordinator hit for worker B's
+identical request. Workers keep no cache of their own: the
+coordinator's is the only place a pure result is stored, and it
+counts every pure request it dispatches as one miss, so hits and
+misses read the same at any worker count. ``workers=1`` is the same
+plan with every request served locally: no chunk, no worker process.
+With ``warm=True`` the pool, the coordinator context and the cache
 all persist across batch runs, which is what turns the old
 cold-start inversion (402 req/s at 4 workers vs 2802 serial) into a
 strict win. Every request, local or in a worker, is run by one
@@ -61,7 +64,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -366,21 +369,6 @@ def _run_one(
     }
 
 
-#: Worker-process persistent contexts, keyed by cache enablement.
-_WORKER_CONTEXTS: dict[bool, RunContext] = {}
-
-
-def _worker_context(use_cache: bool) -> RunContext:
-    """The process-local persistent context for batch workers."""
-    ctx = _WORKER_CONTEXTS.get(use_cache)
-    if ctx is None:
-        ctx = RunContext(
-            cache=ResultCache() if use_cache else None
-        )
-        _WORKER_CONTEXTS[use_cache] = ctx
-    return ctx
-
-
 def _stats_delta(
     cache: ResultCache, hits_before: int, misses_before: int
 ) -> dict:
@@ -391,6 +379,24 @@ def _stats_delta(
         "maxsize": cache.maxsize,
         "misses": cache.misses - misses_before,
     }
+
+
+def _responses(
+    chunk: tuple, lines: Sequence[dict]
+) -> Iterator[tuple[str, OpResponse]]:
+    """The ``(key, response)`` of each pure line a worker answered.
+
+    A line with an ``output`` came from a response (exit code 0 or
+    not), which a serial run would have stored; the entry gets a
+    payload dict of its own, apart from the line's.
+    """
+    for (_, _, _, _, key), line in zip(chunk, lines):
+        if key is not None and "output" in line:
+            yield key, OpResponse(
+                payload=dict(line["payload"]),
+                text=line["output"],
+                exit_code=line["exit_code"],
+            )
 
 
 #: Requests listed verbatim in a flight-recorded logical plan before
@@ -433,14 +439,14 @@ class BatchExecutor:
     :class:`~repro.ops.pool.WarmPool`. More than one worker fans
     requests out over pre-warmed worker processes in contiguous
     chunks, with cache-aware dispatch: pure requests whose content
-    address is already in the coordinator's shared cache never reach
-    the pool, and every chunk ships the pure results it computed
-    back for the coordinator to learn from. ``workers=1`` is the
-    same plan with every request served locally, inline under the
-    installed observer, and no process spawned. Results — and
-    telemetry shards — drain strictly in input order, so the JSONL
-    transcript and the audit-chain content are invariant under the
-    worker count, the chunk size and the dispatch plan.
+    address is already in the coordinator's cache never reach the
+    pool, and the pure results every chunk computed are folded into
+    that cache. ``workers=1`` is the same plan with every request
+    served locally, inline under the installed observer, and no
+    process spawned. Results — and telemetry shards — drain strictly
+    in input order, so the JSONL transcript and the audit-chain
+    content are invariant under the worker count, the chunk size and
+    the dispatch plan.
 
     ``warm=True`` reuses the process-lifetime pool (and its shared
     cache) registered for this configuration instead of building and
@@ -592,7 +598,9 @@ class BatchExecutor:
         is computed twice, and a coordinator hit finds its entry's
         kept body by *key*; a request read back from the line memo
         brings both along. *slot* is ``(chunk, position)`` for a
-        pool entry and ``None`` for a local one.
+        pool entry and ``None`` for a local one. A pure request sent
+        to the pool counts one miss in the cache here, as a serial
+        miss does when it is served.
         """
         cache = ctx.cache
         entries: list[tuple] = []
@@ -619,6 +627,7 @@ class BatchExecutor:
                 entries.append((request, built, key, None))
                 continue
             if key is not None:
+                cache.get(key)  # the miss its worker serves
                 scheduled.add(key)
             pending.append(len(entries))
             entries.append((request, built, key, None))
@@ -667,8 +676,6 @@ class BatchExecutor:
             )
         drained = -1
         result: ChunkResult | None = None
-        worker_hits = 0
-        worker_misses = 0
         lines: list[dict] = []
         bodies: list[str | None] = []
         try:
@@ -705,11 +712,11 @@ class BatchExecutor:
                     # earlier chunk's pure results into the cache.
                     while drained < chunk_id:
                         result = next(drain)
-                        if cache is not None:
-                            cache.merge(result.pairs)
-                        worker_hits += result.hits
-                        worker_misses += result.misses
                         drained += 1
+                        if cache is not None:
+                            cache.merge(
+                                _responses(chunks[drained], result.lines)
+                            )
                     shard = result.shards[position]
                     if shard is not None:
                         replay_shard(shard)
@@ -721,16 +728,11 @@ class BatchExecutor:
                 drain.close()
         if cache is None:
             return tuple(lines), tuple(bodies), None
-        coordinator = _stats_delta(cache, hits_before, misses_before)
-        if self.workers == 1:
-            return tuple(lines), tuple(bodies), coordinator
-        return tuple(lines), tuple(bodies), {
-            "coordinator": coordinator,
-            "entries": coordinator["entries"],
-            "hits": coordinator["hits"] + worker_hits,
-            "misses": coordinator["misses"] + worker_misses,
-            "workers": {"hits": worker_hits, "misses": worker_misses},
-        }
+        return (
+            tuple(lines),
+            tuple(bodies),
+            _stats_delta(cache, hits_before, misses_before),
+        )
 
 
 def _run_batch(request: dict, ctx: RunContext) -> OpResponse:

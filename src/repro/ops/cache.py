@@ -14,14 +14,12 @@ summaries and the E17 benchmark) and as ``ops.cache.hits`` /
 an observed run exports cache effectiveness alongside every other
 metric.
 
-Entries are **mergeable**: a batch worker reads back each pure
-result it computed (:meth:`ResultCache.peek`) and ships the
-``(key, response)`` pairs with its chunk result, and the coordinator
-folds them into its own cache (:meth:`ResultCache.merge`) — the
-shared-cache protocol the warm pool (:mod:`repro.ops.pool`) is built
-on. :meth:`ResultCache.peek` and ``key in cache`` probe without
-touching the hit/miss counters, so dispatch planning never skews the
-stats a batch summary reports.
+Entries are **mergeable**: batch workers keep no cache, and the
+coordinator folds the pure results a worker chunk computed into its
+own (:meth:`ResultCache.merge`) — the one-cache protocol the warm
+pool (:mod:`repro.ops.pool`) is built on. ``key in cache`` probes
+without touching the hit/miss counters, so dispatch planning never
+skews the stats a batch summary reports.
 
 An entry can also keep one encoding of its response
 (:meth:`ResultCache.body`): the batch executor keeps a hit's
@@ -133,15 +131,6 @@ class ResultCache:
         line = self._line_of.pop(key, None)
         if line is not None:
             del self._lines[line]
-
-    def peek(self, key: str) -> OpResponse | None:
-        """The entry for *key* without counting a hit or miss.
-
-        Dispatch planning and worker-side export probe the cache
-        many times per request; only :meth:`get` — the serving path —
-        may move the counters the batch summary reports.
-        """
-        return self._entries.get(key)
 
     def body(self, key: str, encode: Callable[[], str]) -> str:
         """The body kept for *key*'s entry, made by *encode* once.

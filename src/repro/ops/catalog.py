@@ -224,15 +224,15 @@ def _run_codebook_merge(request: dict, ctx: RunContext) -> OpResponse:
         example_coder_variant,
         merge_codebooks,
     )
-    from ..errors import CodebookError
+    from ..errors import CodebookError, OperationError
 
     if request["other"] is None:
         other = example_coder_variant()
     else:
         try:
             other = codebook_from_dict(json.loads(request["other"]))
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise CodebookError(
+        except (ValueError, RecursionError, CodebookError) as exc:
+            raise OperationError(
                 f"--other is not a codebook JSON spec: {exc}"
             ) from exc
     result = merge_codebooks(

@@ -202,16 +202,23 @@ def _read_input(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _verified_events(path: str) -> list:
-    """The events of the audit log at *path*; a corrupt chain is
-    refused with an :class:`~repro.errors.InputError`."""
+def _verified_chain(path: str) -> tuple:
+    """:func:`~repro.observability.read_chain` of the audit log at
+    *path*; a corrupt chain is refused with an
+    :class:`~repro.errors.InputError` naming the log once."""
+    from pathlib import Path
+
     from ..errors import InputError
     from ..observability import read_chain
 
     events, verification = read_chain(path)
     if not verification.ok:
-        raise InputError(verification.describe())
-    return events
+        message = verification.describe()
+        # A line that does not parse already names its log.
+        if not verification.reason.startswith(f"{Path(path)} line "):
+            message = f"{path}: {message}"
+        raise InputError(message)
+    return events, verification
 
 
 def _run_audit_verify(request: dict, ctx: RunContext) -> OpResponse:
@@ -242,7 +249,8 @@ def _run_audit_tail(request: dict, ctx: RunContext) -> OpResponse:
     """Print the last events of a persisted audit log."""
     lines: list[str] = []
     tail = []
-    for event in _verified_events(request["log"])[-request["count"]:]:
+    events, _ = _verified_chain(request["log"])
+    for event in events[-request["count"]:]:
         subject = f" {event.subject}" if event.subject else ""
         detail = json.dumps(event.detail, sort_keys=True)
         lines.append(
@@ -317,7 +325,7 @@ def _run_obs_export(request: dict, ctx: RunContext) -> OpResponse:
         render_prometheus,
     )
 
-    registry = registry_from_events(_verified_events(request["log"]))
+    registry = registry_from_events(*_verified_chain(request["log"]))
     if request["format"] == "prometheus":
         rendered = render_prometheus(registry.snapshot())
         text = rendered
@@ -449,7 +457,7 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
         ) from exc
     spec = SloSpec.from_dict(body)
     series = windows_from_events(
-        _verified_events(request["log"]),
+        _verified_chain(request["log"])[0],
         window_size=spec.window_size if window is None else window,
     )
     report = evaluate_slo(spec, series)

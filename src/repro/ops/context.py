@@ -15,9 +15,10 @@ threads all of it explicitly:
   clock-free configuration knob; nothing in a context reads the
   clock or global RNG state.
 
-Contexts are cheap: one per CLI invocation, one per batch worker
-process (where the memoised corpus and cache amortise across every
-request the worker serves).
+Contexts are cheap: one per CLI invocation, one per warm pool (whose
+cache amortises across every batch it serves) and one cache-less
+context per worker process (where the memoised corpus amortises
+across every request the worker serves).
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ class RunContext:
     def warm_up(self) -> str:
         """Materialise every lazy slot now; returns the corpus digest.
 
-        The warm-pool initializer hook: a worker (or a long-lived
-        coordinator) calls this once at startup so the corpus build
-        and digest hashing — the dominant first-request costs — are
-        paid before any request arrives. Idempotent: the memoised
+        A long-lived coordinator (a warm pool's context) calls this
+        once at startup so the corpus build and digest hashing — the
+        dominant first-request costs — are paid before any request
+        arrives. Idempotent: the memoised
         slots make repeat calls free.
         """
         self.corpus()

@@ -4,26 +4,25 @@
 removes: a 24-request batch ran at 402 req/s with ``workers=4``
 against 2802 req/s serial, because every parallel batch paid full
 process-pool startup and each worker rebuilt its
-:class:`~repro.ops.context.RunContext` — corpus, content digest and
-result cache — from nothing. A :class:`WarmPool` pays those costs
-once per *process lifetime* instead of once per *batch run*:
+:class:`~repro.ops.context.RunContext` — corpus and content digest —
+from nothing. A :class:`WarmPool` pays those costs once per *process
+lifetime* instead of once per *batch run*:
 
 * **Pre-forked, pre-warmed workers.** The pool's
   ``ProcessPoolExecutor`` is built lazily on first submission (a
   batch of invalid requests never spawns a process) and each worker
   runs :func:`_warm_worker` at startup: the operation registry is
-  assembled, the per-process :class:`RunContext` is constructed and
-  its corpus + BLAKE2b content digest materialised, and the worker's
-  :class:`~repro.ops.cache.ResultCache` is primed — so the first
-  real request a worker sees costs only the request.
-* **A shared coordinator cache.** The pool owns a coordinator-side
+  assembled and the worker's cache-less :class:`RunContext` builds
+  its corpus — so the first real request a worker sees costs only
+  the request.
+* **One result cache, on the coordinator.** The pool owns the only
   :class:`~repro.ops.cache.ResultCache` and the coordinator
   :class:`RunContext` wrapping it; both persist across batch runs.
-  Workers ship the ``(key, response)`` pairs they computed back with
-  every chunk (:class:`ChunkResult`), the coordinator merges them,
-  and the batch executor serves later identical pure requests
-  without touching the pool at all — the per-worker cache islands
-  become one content-addressed cache that learns from every worker.
+  Workers keep no cache: the batch executor only sends them pure
+  requests the coordinator's cache lacks, counting each as one miss
+  there, and folds the response lines a chunk ships back
+  (:class:`ChunkResult`) into that cache, so it serves later
+  identical pure requests without touching the pool.
 * **Chunked submission.** Requests cross the pickle/IPC boundary in
   contiguous chunks (:func:`auto_chunk_size` targets ~4 chunks per
   worker, capped so a chunk never grows unbounded), amortising the
@@ -112,49 +111,40 @@ class ChunkResult:
     ``lines`` are the response line bodies in chunk order;
     ``shards`` is the parallel tuple of per-request telemetry cuts
     of the chunk's one capture, the last carrying its metrics
-    (``None`` when the coordinator's observer is disabled);
-    ``pairs`` are the content-addressed ``(key, response)``
-    entries for pure operations this chunk computed, ready to merge
-    into the coordinator cache; ``hits``/``misses`` are the
-    worker-cache counter deltas this chunk incurred, aggregated into
-    the batch summary.
+    (``None`` when the coordinator's observer is disabled).
     """
 
     lines: tuple[dict, ...]
     shards: tuple[WorkerTelemetry | None, ...]
-    pairs: tuple[tuple[str, object], ...] = ()
-    hits: int = 0
-    misses: int = 0
 
 
-def _warm_worker(use_cache: bool) -> None:
+#: The worker process's persistent context. It has no cache: a pure
+#: result is stored and counted only in the coordinator's cache.
+_WORKER_CONTEXT = RunContext()
+
+
+def _warm_worker() -> None:
     """Pool initializer: build and warm the per-process state.
 
     Runs once in every worker at spawn time, before any request.
     It first drops the observer a forked worker inherits: a pool
     first used inside an ``observed(...)`` block would otherwise
     write every later untelemetered chunk's events into the
-    coordinator's (by then closed) audit log. It also drops the
-    worker contexts a coordinator that served requests in-process
-    filled, whose caches would otherwise make a fresh worker's first
-    requests hits. It then assembles the operation registry (so
-    per-request dispatch is a dict hit), constructs the persistent
-    worker :class:`RunContext`, and materialises the corpus and its
-    content digest — the costs that previously made every worker's
-    first request ~100x slower than its second. A daemon thread ends
-    the worker when its coordinator dies, which a killed
-    coordinator's idle workers would otherwise never notice.
+    coordinator's (by then closed) audit log. It then assembles the
+    operation registry (so per-request dispatch is a dict hit) and
+    builds the worker context's corpus — the cost that previously
+    made every worker's first request ~100x slower than its second.
+    A daemon thread ends the worker when its coordinator dies, which
+    a killed coordinator's idle workers would otherwise never notice.
     """
     import threading
 
-    from .batch import _WORKER_CONTEXTS, _worker_context
     from .catalog import default_registry
 
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     set_observer(None)
-    _WORKER_CONTEXTS.clear()
     default_registry()
-    _worker_context(use_cache).warm_up()
+    _WORKER_CONTEXT.corpus()
 
 
 def _exit_with_parent() -> None:
@@ -165,62 +155,43 @@ def _exit_with_parent() -> None:
     os._exit(1)
 
 
-def _execute_chunk(
-    chunk: tuple, telemetry: bool, use_cache: bool
-) -> ChunkResult:
+def _execute_chunk(chunk: tuple, telemetry: bool) -> ChunkResult:
     """Worker-side entry point: run one contiguous request chunk.
 
     *chunk* is a tuple of ``(index, op, args, request, key)``
     entries. For a pure request the coordinator's plan already built
-    the canonical *request* and its cache *key*; the worker serves
-    under them as they are, so it neither rebuilds the request nor
-    rehashes the key. Other entries carry ``None`` for both, and the
-    kernel builds the request from *args*. Each request is run by
-    the same :func:`~repro.ops.batch._run_one` a coordinator-local
-    serve uses. When the coordinator observes, the whole chunk runs
-    under one :class:`~repro.observability.worker.TelemetryShard`
-    that is cut into one shard per request — the last also carrying
-    the chunk's metrics snapshot — so per-request audit brackets
-    replay in exact submission order. Successful pure results are
-    exported as ``(key, response)`` pairs for the coordinator cache.
+    the canonical *request* (and its cache *key*, which the
+    coordinator keeps to store the result); the worker serves under
+    it as it is, so it never rebuilds the request. Other entries
+    carry ``None`` for both, and the kernel builds the request from
+    *args*. Each request is run by the same
+    :func:`~repro.ops.batch._run_one` a coordinator-local serve uses.
+    When the coordinator observes, the whole chunk runs under one
+    :class:`~repro.observability.worker.TelemetryShard` that is cut
+    into one shard per request — the last also carrying the chunk's
+    metrics snapshot — so per-request audit brackets replay in exact
+    submission order.
     """
-    from .batch import _run_one, _worker_context
+    from .batch import _run_one
 
-    ctx = _worker_context(use_cache)
-    cache = ctx.cache
-    hits_before = cache.hits if cache is not None else 0
-    misses_before = cache.misses if cache is not None else 0
     lines: list[dict] = []
     shards: list[WorkerTelemetry | None] = []
-    pairs: list[tuple[str, object]] = []
     last = len(chunk) - 1
     capture = TelemetryShard() if telemetry else contextlib.nullcontext()
     with capture:
         for position, (index, name, values, built, key) in enumerate(
             chunk
         ):
-            line = _run_one(index, name, values, ctx, built, key)
+            lines.append(
+                _run_one(index, name, values, _WORKER_CONTEXT, built, key)
+            )
             if not telemetry:
                 shards.append(None)
             elif position < last:
                 shards.append(capture.cut())
             else:
                 shards.append(capture.telemetry())
-            lines.append(line)
-            if cache is None or key is None or not line["ok"]:
-                continue
-            response = cache.peek(key)
-            if response is not None:
-                pairs.append((key, response))
-    return ChunkResult(
-        lines=tuple(lines),
-        shards=tuple(shards),
-        pairs=tuple(pairs),
-        hits=(cache.hits - hits_before) if cache is not None else 0,
-        misses=(
-            cache.misses - misses_before
-        ) if cache is not None else 0,
-    )
+    return ChunkResult(lines=tuple(lines), shards=tuple(shards))
 
 
 def _request_span(chunk: tuple) -> str:
@@ -320,7 +291,7 @@ class OrderedDrain:
 class WarmPool:
     """A lazily built, reusable pool of pre-warmed worker processes.
 
-    Owns the coordinator-side shared :class:`ResultCache` and the
+    Owns the one :class:`ResultCache` (workers keep none) and the
     coordinator :class:`RunContext` wrapping it — both survive
     across batch runs, which is what makes a second batch on the
     same pool free of every cold-start cost. The executor itself is
@@ -329,7 +300,8 @@ class WarmPool:
     """
 
     #: Coordinator caches outlive single runs; give them headroom
-    #: beyond the per-worker default so a service working set fits.
+    #: beyond the :class:`ResultCache` default so a service working
+    #: set fits.
     COORDINATOR_CACHE_SIZE = 1024
 
     def __init__(self, workers: int, use_cache: bool = True) -> None:
@@ -357,9 +329,7 @@ class WarmPool:
             from concurrent.futures import ProcessPoolExecutor
 
             executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_warm_worker,
-                initargs=(self.use_cache,),
+                max_workers=self.workers, initializer=_warm_worker
             )
             self._executor = executor
         return self._executor
@@ -373,7 +343,7 @@ class WarmPool:
         full complement of processes to spawn and run
         :func:`_warm_worker`.
         """
-        probe = ("a warm-up probe", ((), False, self.use_cache))
+        probe = ("a warm-up probe", ((), False))
         for _ in self.map_ordered(
             _execute_chunk,
             [probe] * self.workers,
@@ -405,10 +375,7 @@ class WarmPool:
         """Run batch request chunks; yields :class:`ChunkResult` in order."""
         return self.map_ordered(
             _execute_chunk,
-            (
-                (_request_span(chunk), (chunk, telemetry, self.use_cache))
-                for chunk in chunks
-            ),
+            ((_request_span(chunk), (chunk, telemetry)) for chunk in chunks),
             window=window,
         )
 

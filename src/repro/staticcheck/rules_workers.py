@@ -21,12 +21,13 @@ handed to a process pool must be:
   per-process shared state masquerading as a parameter);
 * called with **no lambda arguments** (arguments are pickled too).
 
-Deliberately *not* flagged: reads and writes of module-level
-containers inside worker functions. Those are per-process by
-construction — ``_WORKER_CONTEXTS`` in the batch executor and
-``_RUNNER_CACHE`` in the pipeline exist precisely to keep expensive
-state resident per worker process, and the ordered merge in both
-executors makes worker-local state invisible in output bytes.
+Deliberately *not* flagged: reads and writes of module-level state
+inside worker functions. That state is per-process by construction
+— ``_WORKER_CONTEXT`` in the warm pool (a cache-less context holding
+the corpus) and ``_RUNNER_CACHE`` in the pipeline exist precisely to
+keep expensive state resident per worker process, and the ordered
+merge in both executors makes worker-local state invisible in output
+bytes.
 
 Pool detection is name-based within a module: names bound to a
 ``ProcessPoolExecutor`` (or ``multiprocessing.Pool``) via assignment

@@ -13,6 +13,7 @@ from repro.observability import (
     registry_from_events,
     render_otlp,
     render_prometheus,
+    verify_events,
 )
 
 
@@ -249,20 +250,20 @@ class TestOtlpRenderer:
 
 
 class TestRegistryFromEvents:
-    def _trail_events(self, tmp_path):
+    def _trail_chain(self, tmp_path):
         trail = AuditTrail(tmp_path / "audit.jsonl")
         trail.event("pipeline", "run-started", workers=2)
         trail.event("pipeline", "stage-applied", subject="seal")
         trail.event("pipeline", "stage-applied", subject="scrub")
         trail.event("storage", "sealed", subject="blob")
         trail.close()
-        events, verification = read_chain(trail.path)
-        assert verification.ok
-        return events
+        chain = read_chain(trail.path)
+        assert chain[1].ok
+        return chain
 
     def test_counters_and_anchors(self, tmp_path):
-        events = self._trail_events(tmp_path)
-        snapshot = registry_from_events(events).snapshot()
+        chain = self._trail_chain(tmp_path)
+        snapshot = registry_from_events(*chain).snapshot()
         assert snapshot["counters"]["audit.events"] == 4
         assert (
             snapshot["counters"][
@@ -275,20 +276,40 @@ class TestRegistryFromEvents:
         assert snapshot["gauges"]["audit.chain.intact"] == 1
 
     def test_same_events_same_bytes(self, tmp_path):
-        events = self._trail_events(tmp_path)
+        chain = self._trail_chain(tmp_path)
         first = render_prometheus(
-            registry_from_events(events).snapshot()
+            registry_from_events(*chain).snapshot()
         )
         second = render_prometheus(
-            registry_from_events(events).snapshot()
+            registry_from_events(*chain).snapshot()
         )
         assert first == second
         assert render_otlp(
-            registry_from_events(events).snapshot()
-        ) == render_otlp(registry_from_events(events).snapshot())
+            registry_from_events(*chain).snapshot()
+        ) == render_otlp(registry_from_events(*chain).snapshot())
+
+    def test_obs_export_walks_the_chain_once(self, tmp_path, monkeypatch):
+        """``obs export`` takes its chain gauges from the walk that
+        read the log: one ``verify_events`` call, so no event is
+        hashed twice."""
+        from repro.cli.main import main
+        from repro.observability import export, log
+
+        self._trail_chain(tmp_path)
+        walks = []
+
+        def counting(events, **anchors):
+            walks.append(1)
+            return verify_events(events, **anchors)
+
+        for module in (log, export):
+            if hasattr(module, "verify_events"):
+                monkeypatch.setattr(module, "verify_events", counting)
+        assert main(["obs", "export", str(tmp_path / "audit.jsonl")]) == 0
+        assert len(walks) == 1
 
     def test_empty_chain(self):
-        snapshot = registry_from_events([]).snapshot()
+        snapshot = registry_from_events([], verify_events([])).snapshot()
         assert snapshot["counters"]["audit.events"] == 0
         assert snapshot["gauges"]["audit.chain.intact"] == 1
 

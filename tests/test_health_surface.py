@@ -618,7 +618,7 @@ class TestIncidentByteIdentity:
         assert "batch-finished" in out
 
 
-def _crash_worker(chunk, telemetry, use_cache):
+def _crash_worker(chunk, telemetry):
     """A worker entry that dies without cleanup (test double)."""
     os._exit(13)
 

@@ -447,7 +447,22 @@ def test_tampered_chain_is_refused_with_exit_2(op, chains, capsys):
     assert captured.out == ""
     errors = captured.err.strip().splitlines()
     assert len(errors) == 1
-    assert errors[0].startswith("error: chain CORRUPT at record 4: ")
+    # The refusal names the log it refused.
+    assert errors[0].startswith(
+        f"error: {chains['tampered']}: chain CORRUPT at record 4: "
+    )
+
+
+def test_refused_unparsable_chain_names_its_log_once(tmp_path, capsys):
+    log = tmp_path / "audit.jsonl"
+    log.write_bytes(b'{"sequence": 0, "digest"\n')
+    code = main(["audit", "tail", str(log)])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: chain CORRUPT at record 0: {log}")
+    assert errors[0].count(str(log)) == 1
 
 
 #: Every input file of the log, spec, bundle and profile readers,
@@ -507,6 +522,26 @@ def test_cut_log_needs_the_anchored_verify(chains, capsys):
     anchored = ["audit", "verify", str(chains["cut"]), "--expect-length"]
     assert main([*anchored, "14"]) == 1
     assert "CORRUPT at record 4" in capsys.readouterr().out
+
+
+#: Inline ``codebook merge --other`` values that are no codebook:
+#: not JSON, JSON that is no object, an object with no dimensions.
+CODEBOOK_OTHER_CASES = {
+    "not-json": "{",
+    "not-an-object": "[]",
+    "no-dimensions": '{"name": "x"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEBOOK_OTHER_CASES))
+def test_codebook_merge_other_is_a_usage_error(case, capsys):
+    code = main(["codebook", "merge", "--other", CODEBOOK_OTHER_CASES[case]])
+    captured = capsys.readouterr()
+    assert code == describe_failure(OperationError("probe"))[1] == 2
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: --other ")
 
 
 #: Values for the other required arguments of an op that reads a log.

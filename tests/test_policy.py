@@ -300,8 +300,8 @@ class TestPackScopedCache:
             swapped = executor.run(requests)
         finally:
             shutdown_warm_pools()
-        assert swapped.summary["cache"]["workers"]["misses"] == 2
-        assert swapped.summary["cache"]["coordinator"]["hits"] == 1
+        assert swapped.summary["cache"]["misses"] == 2
+        assert swapped.summary["cache"]["hits"] == 1
         assert pack_digests(first) == {pack_digest(DEFAULT_PACK)}
         assert pack_digests(swapped) == {pack_digest(PRECAUTIONARY_PACK)}
 
