@@ -64,8 +64,6 @@ from ..ops import (
     Arg,
     Operation,
     ReproError,
-    ResultCache,
-    RunContext,
     default_registry,
     describe_failure,
     execute,
@@ -176,9 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     values = {
         arg.dest: getattr(args, arg.dest) for arg in operation.args
     }
-    context = RunContext(cache=ResultCache())
     try:
-        response = execute(operation, values, context=context)
+        # A fresh cache-less context: one call could never hit a cache.
+        response = execute(operation, values)
     except ReproError as exc:
         message, code = describe_failure(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -37,12 +37,11 @@ architecture so every subsystem can emit into it:
   bounded ring of recent events and metric deltas, dumped on
   failure as a hash-chained, configuration-invariant incident
   bundle;
-* :mod:`~repro.observability.windows` /
-  :mod:`~repro.observability.slo` — logical-clock outcome windows
-  (per-N-requests, no wall time) over the request brackets of an
-  audit chain, and the declarative SLO engine that judges JSON
-  error-rate and error-budget objectives over them, exit-code
-  gateable via ``repro-ethics obs slo``.
+* :mod:`~repro.observability.slo` — the declarative SLO engine: it
+  reads the request outcomes of an audit chain and judges JSON
+  error-rate and error-budget objectives over logical-clock windows
+  of them (per-N-requests, no wall time), exit-code gateable via
+  ``repro-ethics obs slo``.
 
 The trail is clock-free and therefore as reproducible as the rest of
 the repository; timings live only in metrics/tracing/profiles, which
@@ -90,9 +89,14 @@ from .runtime import (
     set_observer,
     tracer,
 )
-from .slo import SloObjective, SloReport, SloSpec, evaluate_slo
+from .slo import (
+    SloObjective,
+    SloReport,
+    SloSpec,
+    evaluate_slo,
+    request_outcomes,
+)
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
-from .windows import Window, WindowSeries, windows_from_events
 from .worker import TelemetryShard, WorkerTelemetry, replay_shard
 
 __all__ = [
@@ -119,8 +123,6 @@ __all__ = [
     "Span",
     "TelemetryShard",
     "Tracer",
-    "Window",
-    "WindowSeries",
     "WorkerTelemetry",
     "audit_event",
     "encode_event",
@@ -135,10 +137,10 @@ __all__ = [
     "render_otlp",
     "render_prometheus",
     "replay_shard",
+    "request_outcomes",
     "set_observer",
     "top_collapsed",
     "tracer",
     "verify_bundle_text",
     "verify_events",
-    "windows_from_events",
 ]

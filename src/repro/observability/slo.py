@@ -1,4 +1,4 @@
-"""Declarative SLOs: operational policy as data, evaluated over windows.
+"""Declarative SLOs: operational policy as data, judged over a chain.
 
 The paper argues safeguards must be *demonstrable*; PAPERS.md's
 Ramirez et al. adds that evaluation policy should live in a
@@ -23,37 +23,41 @@ A spec looks like::
       ]
     }
 
-``metric`` is ``error_rate``, the one series a
-:class:`~repro.observability.windows.Window` measures, or the derived
+The input is the audit chain's request **outcomes**
+(:func:`request_outcomes`), cut into **logical-clock** windows of
+``window`` consecutive requests (the last may be partial).
+``metric`` is ``error_rate``, a window's failed share, or the derived
 ``error_budget_burn`` (per-window ``error_rate / budget``, averaged
 over a rolling run of ``windows`` consecutive windows — the burn-rate
-alerting shape). A spec naming any other metric is invalid: an
-objective the audit chain can never measure could never fail, so it
-is rejected rather than silently passed. Objectives are judged **per
-window**: a single bad window breaches, because logical windows are
-the unit of degradation the flight recorder and the audit chain can
-localize.
+alerting shape). A spec that could never fail is rejected rather than
+silently passed: one naming any other metric, which the chain never
+measures, or one whose threshold or budget is not a finite number.
+Objectives are judged **per window**: a single bad window breaches,
+because logical windows are the unit of degradation the flight
+recorder and the audit chain can localize.
 
-A chain with no request brackets yields no windows, and every
-objective over it is ``no-data`` rather than pass or fail — an
-absent measurement is evidence of nothing. Evaluation is a pure
-function of (spec, series): evaluating the windowed view of the same
-audit chain always yields the same report bytes, which is what makes
-SLO verdicts reproducible across batch worker counts.
+An objective with no value (no outcomes, or fewer windows than it
+rolls over) is ``no-data`` rather than pass or fail — an absent
+measurement is evidence of nothing. Evaluation is a pure function of
+(spec, outcomes), which makes SLO verdicts reproducible across batch
+worker counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Iterable, Sequence
 
 from ..errors import OperationError
-from .windows import WindowSeries
+from .events import AuditEvent
 
 __all__ = [
     "SloObjective",
     "SloReport",
     "SloSpec",
     "evaluate_slo",
+    "request_outcomes",
 ]
 
 #: The window measurement an objective may target, plus the derived
@@ -68,6 +72,22 @@ _COMPARISONS = ("<=", ">=")
 
 def _spec_error(message: str) -> OperationError:
     return OperationError(f"invalid SLO spec: {message}")
+
+
+def _finite(value: object) -> float | None:
+    """*value* as a finite float; ``None`` for a bool, a non-number,
+    NaN, an infinity or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:
+        return None
+
+
+def _count(value: object) -> bool:
+    """Whether *value* is an integer of at least 1 (a bool is not)."""
+    return type(value) is int and value >= 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,12 +135,11 @@ class SloObjective:
                 f"objective {identifier!r} metric must be one of "
                 f"{list(SUPPORTED_METRICS)}, got {metric!r}"
             )
-        threshold = body.get("threshold")
-        if not isinstance(threshold, (int, float)) or isinstance(
-            threshold, bool
-        ):
+        threshold = _finite(body.get("threshold"))
+        if threshold is None:
             raise _spec_error(
-                f"objective {identifier!r} needs a numeric threshold"
+                f"objective {identifier!r} needs a finite numeric "
+                "threshold"
             )
         comparison = body.get("comparison", "<=")
         if comparison not in _COMPARISONS:
@@ -129,20 +148,17 @@ class SloObjective:
                 f"of {list(_COMPARISONS)}"
             )
         windows = body.get("windows", 1)
-        if not isinstance(windows, int) or windows < 1:
+        if not _count(windows):
             raise _spec_error(
                 f"objective {identifier!r} windows must be a "
                 "positive integer"
             )
         budget = body.get("budget")
         if metric == "error_budget_burn":
-            if (
-                not isinstance(budget, (int, float))
-                or isinstance(budget, bool)
-                or budget <= 0
-            ):
+            budget = _finite(budget)
+            if budget is None or budget <= 0:
                 raise _spec_error(
-                    f"objective {identifier!r} needs a positive "
+                    f"objective {identifier!r} needs a finite positive "
                     "numeric budget for error_budget_burn"
                 )
         elif budget is not None:
@@ -153,10 +169,10 @@ class SloObjective:
         return cls(
             id=str(identifier),
             metric=metric,
-            threshold=float(threshold),
+            threshold=threshold,
             comparison=comparison,
             windows=windows,
-            budget=float(budget) if budget is not None else None,
+            budget=budget,
         )
 
 
@@ -180,7 +196,7 @@ class SloSpec:
         if not isinstance(name, str) or not name:
             raise _spec_error("name must be a non-empty string")
         window_size = body.get("window", 50)
-        if not isinstance(window_size, int) or window_size < 1:
+        if not _count(window_size):
             raise _spec_error(
                 "window must be a positive integer request count"
             )
@@ -265,54 +281,47 @@ class SloReport:
         return "\n".join(lines)
 
 
-def _series_values(
-    objective: SloObjective, windows: tuple
-) -> list[float | None]:
-    """The per-window metric values this objective compares."""
-    rates = [window.measurements()["error_rate"] for window in windows]
-    if objective.metric == "error_rate":
-        return rates
-    return [
-        None if rate is None else round(rate / objective.budget, 6)
-        for rate in rates
-    ]
+def request_outcomes(events: Iterable[AuditEvent]) -> tuple[bool, ...]:
+    """An audit chain's request outcomes, in chain order.
 
-
-def _rolling(values: list, width: int) -> list[float | None]:
-    """Means over every run of *width* consecutive known values."""
-    if width <= 1:
-        return values
-    rolled: list[float | None] = []
-    for end in range(width, len(values) + 1):
-        run = values[end - width : end]
-        if any(value is None for value in run):
-            rolled.append(None)
-        else:
-            rolled.append(round(sum(run) / width, 6))
-    return rolled
-
-
-def evaluate_slo(spec: SloSpec, series: WindowSeries) -> SloReport:
-    """Judge every objective of *spec* against *series*.
-
-    For each objective: take the metric's per-window values, roll
-    them over ``objective.windows`` consecutive windows when asked,
-    and breach on the **worst** value that violates the comparison.
-    Objectives whose series carries no data anywhere report
-    ``no-data`` and do not gate. Pure function of its inputs — the
-    same chain-derived series always yields the same report.
+    ``ops/request-completed`` is ok iff its ``exit_code`` is 0,
+    ``ops/request-failed`` is not ok, and other events are skipped.
     """
-    windows = series.windows()
+    return tuple(
+        event.action == "request-completed"
+        and event.detail.get("exit_code", 0) == 0
+        for event in events
+        if event.category == "ops"
+        and event.action in ("request-completed", "request-failed")
+    )
+
+
+def evaluate_slo(spec: SloSpec, outcomes: Sequence[bool]) -> SloReport:
+    """Judge every objective of *spec* against request *outcomes*.
+
+    The outcomes split into consecutive windows of
+    ``spec.window_size``. For each objective: take the metric's
+    per-window values, average them over every run of
+    ``objective.windows`` consecutive windows when asked, and breach
+    on the **worst** value that violates the comparison. An objective
+    with no value reports ``no-data`` and does not gate.
+    """
+    size = spec.window_size
+    rates = []
+    for start in range(0, len(outcomes), size):
+        run = outcomes[start : start + size]
+        rates.append(round(run.count(False) / len(run), 6))
     results: list[dict] = []
     for objective in spec.objectives:
-        values = _rolling(
-            _series_values(objective, windows), objective.windows
-        )
-        known = [
-            (value, position)
-            for position, value in enumerate(values)
-            if value is not None
-        ]
+        values = rates
+        if objective.metric == "error_budget_burn":
+            values = [round(rate / objective.budget, 6) for rate in rates]
+        width = objective.windows
+        if width > 1:
+            values = [
+                round(sum(values[end - width : end]) / width, 6)
+                for end in range(width, len(values) + 1)
+            ]
         entry = {
             "comparison": objective.comparison,
             "id": objective.id,
@@ -323,17 +332,18 @@ def evaluate_slo(spec: SloSpec, series: WindowSeries) -> SloReport:
             entry["budget"] = objective.budget
         if objective.windows > 1:
             entry["rolling_windows"] = objective.windows
-        if not known:
+        if not values:
             entry.update(
                 measured=None, status="no-data", window=None
             )
             results.append(entry)
             continue
+        ranked = list(zip(values, range(len(values))))
         if objective.comparison == "<=":
-            worst, window = max(known)
+            worst, window = max(ranked)
             breached = worst > objective.threshold
         else:
-            worst, window = min(known)
+            worst, window = min(ranked)
             breached = worst < objective.threshold
         entry.update(
             measured=worst,
@@ -343,8 +353,8 @@ def evaluate_slo(spec: SloSpec, series: WindowSeries) -> SloReport:
         results.append(entry)
     return SloReport(
         name=spec.name,
-        window_size=series.window_size,
-        windows=len(windows),
-        requests=series.total,
+        window_size=size,
+        windows=len(rates),
+        requests=len(outcomes),
         results=tuple(results),
     )

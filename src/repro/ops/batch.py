@@ -42,11 +42,11 @@ into one shard per request, whose captured events
 chain in input order — coordinator-served cache hits emit the same
 bracket inline, so the chain content stays invariant under both the
 worker count and the dispatch plan. The plan computes each pure
-request's canonical form and cache key once; the chunk entry carries
-both to the worker, which serves under them. A coordinator-served
-cache hit finds by that key the transcript body its cache entry
-keeps (:meth:`~repro.ops.cache.ResultCache.body`), so a repeated hit
-encodes only its line's four-member head.
+request's canonical form and cache key once; a worker serves under
+the form its chunk entry carries, and the coordinator keeps the key.
+A coordinator-served cache hit finds by that key the transcript body
+its cache entry keeps (:meth:`~repro.ops.cache.ResultCache.body`), so
+a repeated hit encodes only its line's four-member head.
 
 A warm, cached executor also memoises each hit's raw line bytes to
 its parsed op and args, canonical request and cache key
@@ -382,7 +382,7 @@ def _stats_delta(
 
 
 def _responses(
-    chunk: tuple, lines: Sequence[dict]
+    keys: tuple[str | None, ...], lines: Sequence[dict]
 ) -> Iterator[tuple[str, OpResponse]]:
     """The ``(key, response)`` of each pure line a worker answered.
 
@@ -390,7 +390,7 @@ def _responses(
     not), which a serial run would have stored; the entry gets a
     payload dict of its own, apart from the line's.
     """
-    for (_, _, _, _, key), line in zip(chunk, lines):
+    for key, line in zip(keys, lines):
         if key is not None and "output" in line:
             yield key, OpResponse(
                 payload=dict(line["payload"]),
@@ -577,7 +577,7 @@ class BatchExecutor:
         requests: Sequence[BatchRequest],
         operations: dict[str, Operation],
         ctx: RunContext,
-    ) -> tuple[list[tuple], list[tuple]]:
+    ) -> tuple[list[tuple], list[tuple], list[tuple]]:
         """Split requests into local serves and contiguous chunks.
 
         A request stays **local** (served by the coordinator at its
@@ -601,6 +601,10 @@ class BatchExecutor:
         pool entry and ``None`` for a local one. A pure request sent
         to the pool counts one miss in the cache here, as a serial
         miss does when it is served.
+
+        A chunk entry ``(index, op, args, built)`` ships *built* in
+        place of *args* when there is one, and no key: workers keep
+        no cache, so each chunk's keys are returned beside it.
         """
         cache = ctx.cache
         entries: list[tuple] = []
@@ -635,11 +639,11 @@ class BatchExecutor:
             len(pending), self.workers
         )
         chunks: list[tuple] = []
+        keys: list[tuple] = []
         for offset in range(0, len(pending), size):
             chunk = []
-            for position, entry_index in enumerate(
-                pending[offset : offset + size]
-            ):
+            span = pending[offset : offset + size]
+            for position, entry_index in enumerate(span):
                 request, built, key, _ = entries[entry_index]
                 entries[entry_index] = (
                     request,
@@ -647,11 +651,11 @@ class BatchExecutor:
                     key,
                     (len(chunks), position),
                 )
-                chunk.append(
-                    (request.index, request.op, request.args, built, key)
-                )
+                args = request.args if built is None else None
+                chunk.append((request.index, request.op, args, built))
             chunks.append(tuple(chunk))
-        return entries, chunks
+            keys.append(tuple(entries[index][2] for index in span))
+        return entries, chunks, keys
 
     def _dispatch(
         self,
@@ -668,7 +672,7 @@ class BatchExecutor:
         cache = pool.cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
-        plan, chunks = self._plan(requests, operations, ctx)
+        plan, chunks, keys = self._plan(requests, operations, ctx)
         drain = None
         if chunks:
             drain = pool.map_requests(
@@ -715,7 +719,7 @@ class BatchExecutor:
                         drained += 1
                         if cache is not None:
                             cache.merge(
-                                _responses(chunks[drained], result.lines)
+                                _responses(keys[drained], result.lines)
                             )
                     shard = result.shards[position]
                     if shard is not None:

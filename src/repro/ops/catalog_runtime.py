@@ -11,6 +11,7 @@ operation are exactly what a direct response serialisation produces.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .catalog import _text
@@ -440,7 +441,7 @@ def _run_obs_health(request: dict, ctx: RunContext) -> OpResponse:
 def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
     """Judge a declarative SLO spec against an audit chain."""
     from ..errors import OperationError
-    from ..observability import SloSpec, evaluate_slo, windows_from_events
+    from ..observability import SloSpec, evaluate_slo, request_outcomes
 
     window = request["window"]
     if window is not None and window < 1:
@@ -450,17 +451,17 @@ def _run_obs_slo(request: dict, ctx: RunContext) -> OpResponse:
     raw = _read_input(request["spec"], "SLO spec")
     try:
         body = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # incl. over-long ints
         raise OperationError(
             f"invalid SLO spec {request['spec']!r}: not valid JSON: "
             f"{exc}"
         ) from exc
     spec = SloSpec.from_dict(body)
-    series = windows_from_events(
-        _verified_chain(request["log"])[0],
-        window_size=spec.window_size if window is None else window,
+    if window is not None:
+        spec = dataclasses.replace(spec, window_size=window)
+    report = evaluate_slo(
+        spec, request_outcomes(_verified_chain(request["log"])[0])
     )
-    report = evaluate_slo(spec, series)
     payload = report.to_dict()
     text = (
         emit_json(payload) + "\n"

@@ -158,12 +158,12 @@ def _exit_with_parent() -> None:
 def _execute_chunk(chunk: tuple, telemetry: bool) -> ChunkResult:
     """Worker-side entry point: run one contiguous request chunk.
 
-    *chunk* is a tuple of ``(index, op, args, request, key)``
-    entries. For a pure request the coordinator's plan already built
-    the canonical *request* (and its cache *key*, which the
-    coordinator keeps to store the result); the worker serves under
-    it as it is, so it never rebuilds the request. Other entries
-    carry ``None`` for both, and the kernel builds the request from
+    *chunk* is a tuple of ``(index, op, args, request)`` entries.
+    For a pure request the coordinator's plan already built the
+    canonical *request* and ships it with *args* ``None`` (and no
+    cache key, which only the coordinator's cache reads); the worker
+    serves under it, so it never rebuilds the request. Other entries
+    carry ``None`` for *request*, and the kernel builds it from
     *args*. Each request is run by the same
     :func:`~repro.ops.batch._run_one` a coordinator-local serve uses.
     When the coordinator observes, the whole chunk runs under one
@@ -179,11 +179,9 @@ def _execute_chunk(chunk: tuple, telemetry: bool) -> ChunkResult:
     last = len(chunk) - 1
     capture = TelemetryShard() if telemetry else contextlib.nullcontext()
     with capture:
-        for position, (index, name, values, built, key) in enumerate(
-            chunk
-        ):
+        for position, (index, name, values, built) in enumerate(chunk):
             lines.append(
-                _run_one(index, name, values, _WORKER_CONTEXT, built, key)
+                _run_one(index, name, values, _WORKER_CONTEXT, built)
             )
             if not telemetry:
                 shards.append(None)

@@ -7,14 +7,15 @@ runs every stage over each chunk, and merges results **in chunk
 order**. With ``workers <= 1`` everything runs inline with one
 persistent set of stage runners (their caches warm across chunks);
 with more workers, chunks fan out over a
-:class:`~repro.ops.pool.WarmPool` — the batch executor's pool —
+:class:`~repro.ops.pool.WarmPool` — the batch executor's pool type —
 through its ordered drain, so results merge back in submission
 order and the concatenated output is byte-identical to a serial run
 (stages are deterministic functions of their spec and chunk — see
 :mod:`repro.pipeline.stages`). The pool is the process-lifetime
-``warm_pool(workers, use_cache=False)`` the ``batch`` op also draws
-from, so its workers, and the stage runners they keep per spec
-tuple, outlive the run until
+``warm_pool(workers, use_cache=False)``, which only ``batch --warm
+--no-cache`` shares (pools are keyed by ``(pid, workers,
+use_cache)``); its workers and their per-spec stage runners outlive
+the run until
 :func:`~repro.ops.pool.shutdown_warm_pools` or interpreter exit.
 Inside a multiprocessing child (a ``batch`` worker serving a
 ``pipeline`` request), which runs no exit hooks, each run builds its

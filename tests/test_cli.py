@@ -95,6 +95,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ethics sections: 12/28" in out
 
+    def test_call_hashes_no_corpus(self, capsys, monkeypatch):
+        """A single CLI call runs without a result cache, so it never
+        computes the corpus digest a cache key needs."""
+        from repro.ops import RunContext
+
+        def hashed(self):
+            raise AssertionError("corpus digest computed")
+
+        monkeypatch.setattr(RunContext, "corpus_digest", hashed)
+        assert main(["stats"]) == 0
+        assert "ethics sections: 12/28" in capsys.readouterr().out
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

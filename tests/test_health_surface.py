@@ -26,6 +26,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util import blake2b_hex, canonical_json
 from repro.cli.main import main
@@ -43,13 +44,12 @@ from repro.observability import (
     IncidentBundle,
     Observer,
     SloSpec,
-    WindowSeries,
     evaluate_slo,
     load_bundle_text,
     observed,
     read_chain,
+    request_outcomes,
     verify_bundle_text,
-    windows_from_events,
 )
 from repro.ops import BatchExecutor, load_requests
 
@@ -161,6 +161,77 @@ class TestHistogramQuantile:
         assert histogram.quantile(0.7) == _covering_bound(0.0005)
 
 
+#: Numbers no SLO comparison can fail against, or that no float
+#: holds: NaN, both infinities and an integer too large to convert.
+_NOT_FINITE = (
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    10**400,
+    -(10**400),
+)
+
+
+def _objective(**fields) -> dict:
+    """A one-objective spec; *fields* override the objective's."""
+    objective = {"id": "x", "metric": "error_rate", "threshold": 0.5}
+    return {"objectives": [{**objective, **fields}]}
+
+
+#: JSON scalars: huge integers, NaN and the infinities among them, and
+#: the words a valid spec is made of.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from((*_NOT_FINITE, -1, 0, 1, 2)),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(("error_rate", "error_budget_burn", "<=", ">=")),
+)
+
+#: The values a numeric field most needs to refuse.
+_HOSTILE = st.sampled_from((*_NOT_FINITE, True, False))
+
+#: JSON-shaped values: scalars, lists and objects.
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+
+
+#: The fields a spec is made of, as (level, key); "extra" is unknown.
+_SPEC_FIELDS = (
+    *(("spec", key) for key in ("name", "window", "objectives", "extra")),
+    *(
+        ("objective", key)
+        for key in (
+            "id",
+            "metric",
+            "threshold",
+            "comparison",
+            "windows",
+            "budget",
+            "extra",
+        )
+    ),
+)
+
+
+@st.composite
+def _near_valid_specs(draw) -> dict:
+    """A valid spec with one of its fields replaced."""
+    burn = {"metric": "error_budget_burn", "budget": 0.1, "windows": 2}
+    spec = _objective(**(burn if draw(st.booleans()) else {}))
+    spec.update(name="s", window=5)
+    level, key = draw(st.sampled_from(_SPEC_FIELDS))
+    target = spec if level == "spec" else spec["objectives"][0]
+    target[key] = draw(_HOSTILE | _JSON)
+    return spec
+
+
 class TestSloSpec:
     def test_valid_spec_round_trips(self):
         spec = SloSpec.from_dict(
@@ -247,6 +318,27 @@ class TestSloSpec:
                 },
                 "['error_budget_burn', 'error_rate']",
             ),
+            *(
+                (_objective(threshold=value), "finite numeric threshold")
+                for value in _NOT_FINITE
+            ),
+            *(
+                (
+                    _objective(
+                        metric="error_budget_burn", budget=value
+                    ),
+                    "finite positive numeric budget",
+                )
+                for value in _NOT_FINITE
+            ),
+            (
+                {**_objective(), "window": True},
+                "window must be a positive integer",
+            ),
+            (
+                _objective(windows=True),
+                "windows must be a positive integer",
+            ),
         ],
     )
     def test_invalid_specs_rejected(self, body, fragment):
@@ -255,16 +347,29 @@ class TestSloSpec:
         assert "invalid SLO spec" in str(excinfo.value)
         assert fragment in str(excinfo.value)
 
+    @settings(max_examples=500, deadline=None)
+    @given(body=st.one_of(_JSON, _near_valid_specs()))
+    def test_fuzzed_spec_is_finite_or_refused(self, body):
+        """Any JSON document parses to a spec that can fail, or is
+        refused as an ``invalid SLO spec``; nothing else escapes."""
+        try:
+            spec = SloSpec.from_dict(body)
+        except OperationError as exc:
+            assert str(exc).startswith("invalid SLO spec")
+            return
+        counts = [spec.window_size]
+        counts.extend(objective.windows for objective in spec.objectives)
+        assert all(type(count) is int and count >= 1 for count in counts)
+        for objective in spec.objectives:
+            assert math.isfinite(objective.threshold)
+            assert objective.budget is None or math.isfinite(
+                objective.budget
+            )
+
 
 class TestSloEvaluation:
-    def _series(self, outcomes: list[bool]) -> WindowSeries:
-        series = WindowSeries(window_size=5)
-        for outcome in outcomes:
-            series.observe(outcome)
-        return series
-
     def test_breach_on_worst_window(self):
-        outcomes = [True] * 5 + [True, False, False, True, True]
+        outcomes = (True,) * 5 + (True, False, False, True, True)
         spec = SloSpec.from_dict(
             {
                 "window": 5,
@@ -277,11 +382,8 @@ class TestSloEvaluation:
                 ],
             }
         )
-        series = self._series(outcomes)
-        assert series.windows()[0].measurements() == {
-            "error_rate": 0.0
-        }
-        report = evaluate_slo(spec, series)
+        report = evaluate_slo(spec, outcomes)
+        assert (report.windows, report.requests) == (2, 10)
         (result,) = report.results
         assert result["status"] == "breached"
         assert result["measured"] == 0.4
@@ -289,7 +391,7 @@ class TestSloEvaluation:
         assert report.exit_code == 1
 
     def test_error_budget_burn_rolls_windows(self):
-        outcomes = ([True] * 4 + [False]) * 3  # 20% per window
+        outcomes = ((True,) * 4 + (False,)) * 3  # 20% per window
         spec = SloSpec.from_dict(
             {
                 "window": 5,
@@ -304,18 +406,18 @@ class TestSloEvaluation:
                 ],
             }
         )
-        report = evaluate_slo(spec, self._series(outcomes))
+        report = evaluate_slo(spec, outcomes)
         (result,) = report.results
         # 0.2 error rate against a 0.25 budget burns at 0.8x.
         assert result["measured"] == 0.8
         assert result["status"] == "ok"
 
     def test_no_data_does_not_gate(self):
-        # A chain with no request brackets windows to an empty series.
-        series = windows_from_events(
-            [AuditEvent(0, "access", "grant", "p-0").sealed()], 5
+        # A chain with no request brackets has no outcomes.
+        outcomes = request_outcomes(
+            [AuditEvent(0, "access", "grant", "p-0").sealed()]
         )
-        assert series.windows() == ()
+        assert outcomes == ()
         spec = SloSpec.from_dict(
             {
                 "window": 5,
@@ -334,7 +436,7 @@ class TestSloEvaluation:
                 ],
             }
         )
-        report = evaluate_slo(spec, series)
+        report = evaluate_slo(spec, outcomes)
         assert [r["status"] for r in report.results] == [
             "no-data",
             "no-data",
@@ -516,14 +618,14 @@ class TestIncidentByteIdentity:
             logs[workers] = log
             assert header["plan"]["requests"] == len(REQUEST_LINES)
         assert bodies[1] == bodies[2] == bodies[4]
-        # The chain-derived window series is invariant too.
+        # The chain's request outcomes are invariant too.
         chains = [read_chain(logs[w]) for w in (1, 2, 4)]
         assert all(verification.ok for _, verification in chains)
-        series = [
-            windows_from_events(events, 3).to_dict()
-            for events, _ in chains
-        ]
-        assert series[0] == series[1] == series[2]
+        outcomes = [request_outcomes(events) for events, _ in chains]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == tuple(
+            line["op"] != "no-such-op" for line in REQUEST_LINES
+        )
 
     def test_slo_verdict_bytes_identical_across_workers(
         self, requests_file, tmp_path, capsys

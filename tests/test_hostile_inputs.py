@@ -146,6 +146,8 @@ def test_malformed_input_exits_1_with_one_line(case, tmp_path, capsys):
 
 _NOT_UTF8 = b'{"op": "x\xff"}\n'
 _TOO_DEEP = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+#: An integer literal longer than the interpreter converts.
+_HUGE_INT = b"1" * 5_000 + b"\n"
 
 #: A file each reader cannot decode: (argv, content, the reader's
 #: typed error, the location its message must name). ``None`` for
@@ -190,6 +192,12 @@ READER_CASES = {
     "slo-spec-too-deep": (
         ["obs", "slo", "{path}", "{log}"],
         _TOO_DEEP,
+        OperationError,
+        "{path}",
+    ),
+    "slo-spec-huge-int": (
+        ["obs", "slo", "{path}", "{log}"],
+        _HUGE_INT,
         OperationError,
         "{path}",
     ),
@@ -335,27 +343,27 @@ def test_corrupt_existing_log_is_refused_untouched(
 #: tell them from a breach (exit 1): a window below one request, and a
 #: spec naming a metric the audit chain does not record. As (extra
 #: argv, the objective's metric, a fragment of the error line).
+#: (extra argv, the objective's fields over an ``error_rate``
+#: objective with threshold 0.1, the fragment the error must name).
 SLO_USAGE_CASES = {
-    "window-zero": (["--window", "0"], "error_rate", "--window"),
-    "window-negative": (["--window", "-1"], "error_rate", "--window"),
+    "window-zero": (["--window", "0"], {}, "--window"),
+    "window-negative": (["--window", "-1"], {}, "--window"),
     "removed-metric": (
-        [], "latency_p99_seconds", "invalid SLO spec"
+        [], {"metric": "latency_p99_seconds"}, "invalid SLO spec"
+    ),
+    "nan-threshold": (
+        [], {"threshold": float("nan")}, "finite numeric threshold"
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SLO_USAGE_CASES))
 def test_obs_slo_usage_error_exits_2(case, tmp_path, capsys):
-    extra, metric, fragment = SLO_USAGE_CASES[case]
+    extra, fields, fragment = SLO_USAGE_CASES[case]
+    objective = {"id": "x", "metric": "error_rate", "threshold": 0.1}
     spec = tmp_path / "slo.json"
     spec.write_text(
-        json.dumps(
-            {
-                "objectives": [
-                    {"id": "x", "metric": metric, "threshold": 0.1}
-                ]
-            }
-        ),
+        json.dumps({"objectives": [{**objective, **fields}]}),
         encoding="utf-8",
     )
     # The log does not exist: a usage error is raised before the

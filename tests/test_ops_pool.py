@@ -262,7 +262,7 @@ class TestFreshWorkerContexts:
         from repro.ops import pool as pool_module
 
         served = pool_module._execute_chunk(
-            ((0, "legend", {}, None, None),), False
+            ((0, "legend", {}, None),), False
         )
         assert served.lines[0]["ok"]
         shutdown_warm_pools()
@@ -307,24 +307,16 @@ class TestChunkTelemetry:
 
 
 class TestPlannedKey:
-    def test_worker_serves_under_the_planned_request_and_key(
-        self, monkeypatch
-    ):
-        """A chunk entry carries the built request and its key; the
-        worker neither rebuilds nor rehashes them."""
+    def test_worker_serves_under_the_planned_request(self, monkeypatch):
+        """A chunk entry carries the built request in place of its
+        args; the worker neither rebuilds nor rehashes it."""
         from repro.ops import kernel
         from repro.ops import pool as pool_module
         from repro.ops.batch import _batchable_operation
-        from repro.ops.cache import cache_key
         from repro.ops.context import RunContext
         from repro.ops.spec import build_request
 
-        ctx = RunContext()
-        operation = _batchable_operation("legend")
-        built = build_request(operation, {})
-        key = cache_key(
-            operation.name, built, ctx.cache_digest(operation, built)
-        )
+        built = build_request(_batchable_operation("legend"), {})
 
         def recomputed(*args, **kwargs):
             raise AssertionError("recomputed in the worker")
@@ -333,9 +325,54 @@ class TestPlannedKey:
         monkeypatch.setattr(kernel, "cache_key", recomputed)
         monkeypatch.setattr(RunContext, "cache_digest", recomputed)
         result = pool_module._execute_chunk(
-            ((0, "legend", {}, built, key),), False
+            ((0, "legend", None, built),), False
         )
         assert result.lines[0]["ok"]
+
+    def test_no_chunk_entry_carries_a_cache_key(
+        self, requests_file, monkeypatch
+    ):
+        """Each request crosses the pipe once, as its built request
+        or its raw args, and its cache key stays with the
+        coordinator."""
+        from repro.ops.batch import _batchable_operation
+        from repro.ops.cache import cache_key
+        from repro.ops.context import RunContext
+        from repro.ops.spec import build_request
+
+        submitted = []
+        map_requests = WarmPool.map_requests
+
+        def capture(self, chunks, telemetry, *, window):
+            chunks = list(chunks)
+            submitted.extend(chunks)
+            return map_requests(self, chunks, telemetry, window=window)
+
+        monkeypatch.setattr(WarmPool, "map_requests", capture)
+        requests = load_requests(requests_file)
+        result = BatchExecutor(workers=2).run(requests)
+        assert all(line["ok"] for line in result.lines)
+        ctx = RunContext()
+        keys = set()
+        for request in requests:
+            operation = _batchable_operation(request.op)
+            built = build_request(operation, request.args)
+            keys.add(
+                cache_key(
+                    operation.name,
+                    built,
+                    ctx.cache_digest(operation, built),
+                )
+            )
+        entries = [entry for chunk in submitted for entry in chunk]
+        assert entries
+        for entry in entries:
+            assert not any(
+                isinstance(field, str) and field in keys
+                for field in entry
+            )
+            index, op, args, built = entry
+            assert built is not None and args is None
 
 
 class TestFailFastValidation:
